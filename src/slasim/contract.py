@@ -405,9 +405,6 @@ class SlaContract:
             raise UnknownScp(f"{scp!r} is not in the register")
         return record.active, record.credit, record.consecutive_strikes
 
-    def get_contract_status(self) -> Tuple[int, bool, int]:
-        return self.escrow, self.disabled, self.ledger.current_period
-
     def canonical_state(self) -> dict:
         return {
             "owner": self.owner,

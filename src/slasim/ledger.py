@@ -19,9 +19,16 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DuplicateAddress, InsufficientFunds, UnknownAddress
+from .fileio import atomic_write
 
 TXLOG_FORMAT = "slasim-txlog"
-TXLOG_VERSION = 2  # 2: drive logs one record_traffic_batch entry per period
+TXLOG_VERSION = 3  # 3: events enter the digest as a running SHA-256
+
+# Events folded into the digest per encoder call.  Fewer than the garbage
+# collector's default first-generation threshold (700), so each batch's row
+# lists are freed before a collection can promote them and trigger a full
+# collection of the whole heap; the hash does not depend on the batch size.
+_FOLD_BATCH = 256
 
 
 class EventKind(str, Enum):
@@ -52,16 +59,6 @@ class EventRecord:
                 return value
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "period": self.period,
-            "kind": self.kind.value,
-            "subject": self.subject,
-            "qci": self.qci,
-            "payload": [[name, value] for name, value in self.payload],
-        }
-
 
 def _check_amount(amount: int) -> None:
     if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
@@ -79,6 +76,9 @@ class Ledger:
         # contracts attach themselves so the digest covers their state too
         self.contracts: Dict[str, object] = {}
         self._anon_counter = 0
+        # running SHA-256 over self.events[:self._events_hashed]
+        self._events_hash = hashlib.sha256()
+        self._events_hashed = 0
 
     # --- accounts ---------------------------------------------------------
 
@@ -206,12 +206,37 @@ class Ledger:
             raise DuplicateAddress(f"contract id {contract.id!r} already attached")
         self.contracts[contract.id] = contract
 
+    def _events_sha256(self) -> str:
+        """Fold the events not yet hashed into the running SHA-256, in index order.
+
+        Each event enters as the compact JSON array
+        ``[index, period, kind, subject, qci, [[name, value], ...]]`` followed
+        by a comma, so the hash is the same however many reads split the log.
+        An event once folded is never read again, which relies on the log
+        being append-only.
+        """
+        events = self.events
+        while self._events_hashed < len(events):
+            start = self._events_hashed
+            rows = [
+                [r.index, r.period, r.kind.value, r.subject, r.qci, r.payload]
+                for r in events[start : start + _FOLD_BATCH]
+            ]
+            blob = json.dumps(rows, separators=(",", ":"))[1:-1] + ","
+            self._events_hash.update(blob.encode("utf-8"))
+            self._events_hashed += len(rows)
+        return self._events_hash.hexdigest()
+
     def canonical_state(self) -> dict:
-        """Deterministic, fully sorted representation of the whole world state."""
+        """Deterministic, fully sorted representation of the whole world state.
+
+        Events are represented by their count and running SHA-256 rather than
+        listed, so taking a digest does not re-encode the whole log.
+        """
         return {
             "accounts": {addr: self.balances[addr] for addr in sorted(self.balances)},
             "period": self.current_period,
-            "events": [record.to_dict() for record in self.events],
+            "events": {"count": len(self.events), "sha256": self._events_sha256()},
             "contracts": {
                 cid: self.contracts[cid].canonical_state()
                 for cid in sorted(self.contracts)
@@ -238,7 +263,7 @@ class Ledger:
             "digest": digest,
             "entries": len(self.txlog),
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             fh.writelines(
                 json.dumps(entry, sort_keys=True) + "\n" for entry in self.txlog

@@ -32,24 +32,26 @@ def _decode_entry(line: str):
 
 
 def load_txlog(path) -> Tuple[dict, List[dict]]:
+    """Read and check the header line, then decode the entries line by line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            first = fh.readline()
+            if not first:
+                raise MalformedLog("empty transaction log file")
+            try:
+                header = json.loads(first)
+                if not isinstance(header, dict) or header.get("format") != TXLOG_FORMAT:
+                    raise MalformedLog("missing or unrecognized transaction log header")
+                if header.get("version") != TXLOG_VERSION:
+                    raise MalformedLog(
+                        f"unsupported log version {header.get('version')!r}"
+                        f" (expected {TXLOG_VERSION})"
+                    )
+                entries = [_decode_entry(line) for line in fh if line.strip()]
+            except json.JSONDecodeError as exc:
+                raise MalformedLog(f"invalid JSON in transaction log: {exc}") from exc
     except OSError as exc:
         raise MalformedLog(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise MalformedLog("empty transaction log file")
-    try:
-        header = json.loads(lines[0])
-        entries = [_decode_entry(line) for line in lines[1:] if line.strip()]
-    except json.JSONDecodeError as exc:
-        raise MalformedLog(f"invalid JSON in transaction log: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != TXLOG_FORMAT:
-        raise MalformedLog("missing or unrecognized transaction log header")
-    if header.get("version") != TXLOG_VERSION:
-        raise MalformedLog(
-            f"unsupported log version {header.get('version')!r} (expected {TXLOG_VERSION})"
-        )
     return header, entries
 
 

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from .fileio import atomic_write
+
 REPORT_SCHEMA = "slasim-report.v1"
 
 CSV_COLUMNS = [
@@ -88,12 +90,12 @@ class RunReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for label in sorted(self.rows):

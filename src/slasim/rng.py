@@ -26,12 +26,3 @@ def splitmix64(x: int) -> int:
 
 def stream_key(seed: int, scp_index: int, qci: int) -> int:
     return splitmix64(splitmix64(splitmix64(seed & _MASK) ^ scp_index) ^ qci)
-
-
-def uniform_int(key: int, period: int, lo: int, hi: int) -> int:
-    """Deterministic uniform draw in the inclusive range [lo, hi]."""
-    if lo > hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    if lo == hi:
-        return lo
-    return lo + splitmix64(key ^ period) % (hi - lo + 1)

@@ -1,11 +1,15 @@
 """CLI contract: commands, exit codes, output files."""
 
 import csv
+import errno
+import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from test_config import VALID
+from slasim import ledger, report
 from slasim.cli import (
     EXIT_ABORT,
     EXIT_INVALID,
@@ -120,3 +124,46 @@ def test_csv_and_json_agree(config_file, tmp_path):
         assert timeline == json_row["strikes_timeline"]
         removal = csv_row["removal_period"]
         assert (None if removal == "" else int(removal)) == json_row["removal_period"]
+
+
+def _disk_full():
+    return OSError(errno.ENOSPC, "No space left on device")
+
+
+def _json_dump_failing_partway(obj, fh, **kwargs):
+    fh.write(json.dumps(obj, **kwargs)[:20])
+    raise _disk_full()
+
+
+def _csv_writer_failing_partway(fh):
+    fh.write("scp,earned,")
+    raise _disk_full()
+
+
+def _json_dumps_failing_after(allowed):
+    calls = itertools.count()
+
+    def dumps(obj, **kwargs):
+        if next(calls) >= allowed:
+            raise _disk_full()
+        return json.dumps(obj, **kwargs)
+
+    return dumps
+
+
+@pytest.mark.parametrize("target", [REPORT_JSON, REPORT_CSV, TXLOG_FILE])
+def test_failed_write_keeps_existing_output(config_file, tmp_path, monkeypatch, capsys, target):
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", config_file, "--out", out) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    # the encoder writes part of the file, then the disk fills up
+    module, name, encoder = {
+        REPORT_JSON: (report, "json", SimpleNamespace(dump=_json_dump_failing_partway)),
+        REPORT_CSV: (report, "csv", SimpleNamespace(writer=_csv_writer_failing_partway)),
+        # the run's state digest and the log header encode; the first entry fails
+        TXLOG_FILE: (ledger, "json", SimpleNamespace(dumps=_json_dumps_failing_after(2))),
+    }[target]
+    monkeypatch.setattr(module, name, encoder)
+    assert run_cli("run", "--config", config_file, "--out", out) == EXIT_ABORT
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before

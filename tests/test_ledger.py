@@ -1,5 +1,9 @@
 """Ledger substrate: accounts, events, period clock, digests."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,3 +179,69 @@ class TestDigest:
             return ledger.state_digest()
 
         assert build(30) != build(31)
+
+
+def event_history(ledger, probe=lambda: None):
+    """Append events over a few periods, calling ``probe`` between steps."""
+    ledger.create_account(100, "a")
+    for period in range(4):
+        ledger.append_event(EventKind.DEPOSIT, "a", payload=(("amount", period),))
+        probe()
+        ledger.append_event(EventKind.INSUFFICIENT_THROUGHPUT, "scp", qci=5)
+        ledger.append_event(EventKind.PERIODIC_PAYOUT, "scp", qci=1, payload=(("amount", 7),))
+        if period % 2:
+            probe()
+        ledger.advance_period()
+
+
+class TestRollingEventDigest:
+    def test_digest_reads_do_not_change_the_final_digest(self):
+        probed = Ledger()
+        seen = []
+        event_history(probed, probe=lambda: seen.append(probed.state_digest()))
+        probed.canonical_state()
+        once = Ledger()
+        event_history(once)
+        for ledger in (probed, once):  # a tail longer than one fold batch
+            for amount in range(600):
+                ledger.append_event(EventKind.WITHDRAWAL, "a", payload=(("amount", amount),))
+        assert len(set(seen)) == len(seen)  # every probe saw a different history
+        assert probed.state_digest() == once.state_digest()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"index": 9},
+            {"period": 9},
+            {"kind": EventKind.WITHDRAWAL},
+            {"subject": "b"},
+            {"qci": 2},
+            {"payload": (("amount", 8),)},
+        ],
+        ids=["index", "period", "kind", "subject", "qci", "payload-value"],
+    )
+    def test_each_event_field_is_covered(self, change):
+        def digest(**fields):
+            ledger = Ledger()
+            ledger.append_event(EventKind.DEPOSIT, "a", qci=1, payload=(("amount", 7),))
+            ledger.events[0] = dataclasses.replace(ledger.events[0], **fields)
+            return ledger.state_digest()
+
+        assert digest(**change) != digest()
+
+    def test_canonical_state_holds_count_and_documented_sha256(self, ledger):
+        event_history(ledger)
+        rows = "".join(
+            json.dumps(
+                [e.index, e.period, e.kind.value, e.subject, e.qci, e.payload],
+                separators=(",", ":"),
+            )
+            + ","
+            for e in ledger.events
+        )
+        assert rows.startswith('[0,0,"Deposit","a",null,[["amount",0]]],[1,0,')
+        assert ledger.canonical_state()["events"] == {
+            "count": len(ledger.events),
+            "sha256": hashlib.sha256(rows.encode("utf-8")).hexdigest(),
+        }
+        assert len(ledger.events) == 12

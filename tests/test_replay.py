@@ -139,15 +139,17 @@ def test_bad_batch_sample_rejected_on_replay(tmp_path, bad):
         replay_entries(entries)
 
 
-def test_version_1_log_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_log_version_rejected(tmp_path, version):
     path = tmp_path / "log.jsonl"
     busy_world().export_txlog(path)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    header["version"] = 1
+    header["version"] = version
     lines[0] = json.dumps(header, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MalformedLog, match="unsupported log version 1"):
+    expected = rf"unsupported log version {version} \(expected 3\)"
+    with pytest.raises(MalformedLog, match=expected):
         replay_file(path)
 
 
@@ -176,6 +178,13 @@ def test_unknown_op_rejected():
 def test_invalid_fields_rejected():
     with pytest.raises(MalformedLog, match="bad fields"):
         replay_entries([{"op": "transfer", "src": "a"}])
+
+
+def test_empty_file_rejected(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    with pytest.raises(MalformedLog, match="empty transaction log file"):
+        replay_file(path)
 
 
 def test_garbage_file_rejected(tmp_path):
