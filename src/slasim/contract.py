@@ -174,13 +174,13 @@ class SlaContract:
             raise InactiveScp(f"{scp!r} has been removed from the register")
         return record
 
-    def _traffic_record(self, scp: str, qci: int, kb_served: int) -> ScpRecord:
+    def _traffic_record(self, scp: str, qci: int, kb: int) -> ScpRecord:
         """The record a served-traffic sample may be added to, once checked."""
         record = self._active_record(scp)
         if qci not in record.terms.agreed_throughput:
             raise UnknownQci(f"QCI {qci} is not part of {scp!r}'s agreement")
-        if kb_served < 0:
-            raise ValueError("kb_served must be >= 0")
+        if kb < 0:
+            raise ValueError("kb must be >= 0")
         return record
 
     # --- registration and funding -------------------------------------------
@@ -198,7 +198,7 @@ class SlaContract:
             # is archived with its credit/debt frozen, never merged
             self.archived.append(existing)
         self.registry[scp] = ScpRecord(address=scp, terms=terms)
-        self.ledger._append_event(EventKind.SCP_REGISTERED, scp)
+        self.ledger.append_event(EventKind.SCP_REGISTERED, scp)
         self.ledger._log(
             "register_scp", contract=self.id, caller=caller, scp=scp, terms=terms.to_dict()
         )
@@ -206,31 +206,23 @@ class SlaContract:
     def deposit(self, caller: str, amount: int) -> None:
         self._require_owner(caller)
         self._require_enabled()
-        self.ledger._transfer(caller, self.account, amount)
+        self.ledger.transfer(caller, self.account, amount)
         self.escrow += amount
         self.total_deposits += amount
-        self.ledger._append_event(
+        self.ledger.append_event(
             EventKind.DEPOSIT, caller, payload=(("amount", amount),)
         )
         self.ledger._log("deposit", contract=self.id, caller=caller, amount=amount)
 
     # --- per-period flow ------------------------------------------------------
 
-    def record_traffic(self, caller: str, scp: str, qci: int, kb_served: int) -> None:
+    def record_traffic(self, caller: str, scp: str, qci: int, kb: int) -> None:
         self._require_owner(caller)
         self._require_enabled()
-        record = self._traffic_record(scp, qci, kb_served)
-        record.served[qci] = record.served.get(qci, 0) + kb_served
-        # hot path: direct append instead of Ledger._log
-        self.ledger.txlog.append(
-            {
-                "op": "record_traffic",
-                "contract": self.id,
-                "caller": caller,
-                "scp": scp,
-                "qci": qci,
-                "kb": kb_served,
-            }
+        record = self._traffic_record(scp, qci, kb)
+        record.served[qci] = record.served.get(qci, 0) + kb
+        self.ledger._log(
+            "record_traffic", contract=self.id, caller=caller, scp=scp, qci=qci, kb=kb
         )
 
     def record_traffic_batch(
@@ -247,50 +239,40 @@ class SlaContract:
         self._require_enabled()
         logged = tuple(map(tuple, samples))
         records = [self._traffic_record(scp, qci, kb) for scp, qci, kb in logged]
-        for record, (_, qci, kb_served) in zip(records, logged):
-            record.served[qci] = record.served.get(qci, 0) + kb_served
-        self.ledger.txlog.append(
-            {
-                "op": "record_traffic_batch",
-                "contract": self.id,
-                "caller": caller,
-                "samples": logged,
-            }
+        for record, (_, qci, kb) in zip(records, logged):
+            record.served[qci] = record.served.get(qci, 0) + kb
+        self.ledger._log(
+            "record_traffic_batch", contract=self.id, caller=caller, samples=logged
         )
 
-    def throughput_breach(self, caller: str, scp: str, qci: int, deficit_kbps: int) -> None:
+    def throughput_breach(self, caller: str, scp: str, qci: int, deficit: int) -> None:
         self._require_owner(caller)
         self._require_enabled()
         record = self._active_record(scp)
         if qci not in record.terms.agreed_throughput:
             raise UnknownQci(f"QCI {qci} is not part of {scp!r}'s agreement")
-        if deficit_kbps < 1:
+        if deficit < 1:
             raise ZeroDeficit("a zero deficit is not a breach")
-        debit = record.terms.penalty_debit(deficit_kbps)
+        debit = record.terms.penalty_debit(deficit)
         record.credit -= debit
-        self.ledger._append_event(
+        self.ledger.append_event(
             EventKind.INSUFFICIENT_THROUGHPUT,
             scp,
             qci=qci,
-            payload=(("deficit", deficit_kbps), ("debit", debit)),
+            payload=(("deficit", deficit), ("debit", debit)),
         )
         if not record.breached_this_period:
             record.breached_this_period = True
             record.consecutive_strikes += 1
             if record.consecutive_strikes >= record.terms.strike_limit:
                 record.active = False
-                self.ledger._append_event(
+                self.ledger.append_event(
                     EventKind.SCP_REMOVED,
                     scp,
                     payload=(("strikes", record.consecutive_strikes),),
                 )
         self.ledger._log(
-            "throughput_breach",
-            contract=self.id,
-            caller=caller,
-            scp=scp,
-            qci=qci,
-            deficit=deficit_kbps,
+            "throughput_breach", contract=self.id, caller=caller, scp=scp, qci=qci, deficit=deficit
         )
 
     def _payout_for(self, record: ScpRecord) -> int:
@@ -329,7 +311,7 @@ class SlaContract:
         for addr, payout in payouts:
             record = self.registry[addr]
             record.credit += payout
-            self.ledger._append_event(
+            self.ledger.append_event(
                 EventKind.PERIODIC_PAYOUT,
                 addr,
                 payload=(("payout", payout), ("period", period)),
@@ -339,7 +321,7 @@ class SlaContract:
                 record.consecutive_strikes = 0
             record.breached_this_period = False
             record.served.clear()
-        self.ledger._advance_period()
+        self.ledger.advance_period()
         self.ledger._log("close_period", contract=self.id, caller=caller)
 
     # --- settlement -----------------------------------------------------------
@@ -356,11 +338,11 @@ class SlaContract:
             raise InsufficientEscrow(
                 f"escrow {self.escrow} cannot settle credit {amount}"
             )
-        self.ledger._transfer(self.account, caller, amount)
+        self.ledger.transfer(self.account, caller, amount)
         self.escrow -= amount
         record.credit = 0
         self.total_withdrawn += amount
-        self.ledger._append_event(
+        self.ledger.append_event(
             EventKind.WITHDRAWAL, caller, payload=(("amount", amount),)
         )
         self.ledger._log("withdraw", contract=self.id, caller=caller)
@@ -371,7 +353,7 @@ class SlaContract:
         if self.disabled:
             raise AlreadyDisabled("contract is already disabled")
         self.disabled = True
-        self.ledger._append_event(EventKind.CONTRACT_DISABLED, caller)
+        self.ledger.append_event(EventKind.CONTRACT_DISABLED, caller)
         self.ledger._log("failsafe_disable", contract=self.id, caller=caller)
 
     def recover_escrow(self, caller: str) -> int:
@@ -382,10 +364,10 @@ class SlaContract:
         recoverable = self.escrow - self.positive_credit_sum()
         if recoverable < 0:
             recoverable = 0
-        self.ledger._transfer(self.account, caller, recoverable)
+        self.ledger.transfer(self.account, caller, recoverable)
         self.escrow -= recoverable
         self.total_recovered += recoverable
-        self.ledger._append_event(
+        self.ledger.append_event(
             EventKind.ESCROW_RECOVERED, caller, payload=(("amount", recoverable),)
         )
         self.ledger._log("recover_escrow", contract=self.id, caller=caller)

@@ -2,10 +2,16 @@
 
 The ledger is the execution substrate for the SLA contract.  It keeps integer
 account balances (never negative, never fractional), an append-only indexed
-event log, and a monotone period counter.  Every public mutating operation is
-recorded in a transaction log so a run can be exported and replayed
-byte-for-byte; the canonical state digest makes replay determinism checkable
-as plain string equality.
+event log, and a monotone period counter.
+
+The transactions are ``create_account`` and the contract's operations.  Each
+one appends a single entry to the transaction log through ``Ledger._log``:
+its name as ``op`` plus its keyword arguments, so replay calls the same method
+with the same arguments.  The primitives a transaction calls (``transfer``,
+``append_event``, ``advance_period``) are not logged, just as calls made
+inside a smart-contract transaction are not.  An exported log replays
+byte-for-byte, and the canonical state digest makes replay determinism
+checkable as plain string equality.
 
 Not thread-safe; one ledger instance belongs to one scenario run.
 """
@@ -82,19 +88,20 @@ class Ledger:
 
     # --- accounts ---------------------------------------------------------
 
-    def create_account(self, initial_balance: int = 0, label: Optional[str] = None) -> str:
-        address = self._new_account(initial_balance, label)
-        self._log("create_account", label=address, balance=initial_balance)
+    def create_account(self, balance: int = 0, label: Optional[str] = None) -> str:
+        address = self._new_account(balance, label)
+        self._log("create_account", label=address, balance=balance)
         return address
 
-    def _new_account(self, initial_balance: int, label: Optional[str]) -> str:
-        _check_amount(initial_balance)
+    def _new_account(self, balance: int, label: Optional[str]) -> str:
+        """Open an account without logging it, for accounts a transaction opens."""
+        _check_amount(balance)
         if label is None:
             label = f"acct-{self._anon_counter}"
             self._anon_counter += 1
         if label in self.balances:
             raise DuplicateAddress(f"address {label!r} already exists")
-        self.balances[label] = initial_balance
+        self.balances[label] = balance
         return label
 
     def balance(self, address: str) -> int:
@@ -104,10 +111,6 @@ class Ledger:
             raise UnknownAddress(f"unknown address {address!r}") from None
 
     def transfer(self, src: str, dst: str, amount: int) -> None:
-        self._transfer(src, dst, amount)
-        self._log("transfer", src=src, dst=dst, amount=amount)
-
-    def _transfer(self, src: str, dst: str, amount: int) -> None:
         _check_amount(amount)
         if src not in self.balances:
             raise UnknownAddress(f"unknown address {src!r}")
@@ -126,23 +129,6 @@ class Ledger:
     # --- events -----------------------------------------------------------
 
     def append_event(
-        self,
-        kind: EventKind,
-        subject: str,
-        qci: Optional[int] = None,
-        payload: Tuple[Tuple[str, int], ...] = (),
-    ) -> int:
-        index = self._append_event(kind, subject, qci, payload)
-        self._log(
-            "append_event",
-            kind=kind.value,
-            subject=subject,
-            qci=qci,
-            payload=[[name, value] for name, value in payload],
-        )
-        return index
-
-    def _append_event(
         self,
         kind: EventKind,
         subject: str,
@@ -186,20 +172,14 @@ class Ledger:
     # --- period clock -----------------------------------------------------
 
     def advance_period(self) -> int:
-        self._advance_period()
-        self._log("advance_period")
-        return self.current_period
-
-    def _advance_period(self) -> int:
         self.current_period += 1
         return self.current_period
 
     # --- transaction log and digest ----------------------------------------
 
     def _log(self, op: str, **fields: object) -> None:
-        entry = {"op": op}
-        entry.update(fields)
-        self.txlog.append(entry)
+        """Record one transaction: its method name and its keyword arguments."""
+        self.txlog.append({"op": op, **fields})
 
     def attach_contract(self, contract) -> None:
         if contract.id in self.contracts:

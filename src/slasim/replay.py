@@ -1,8 +1,11 @@
 """Re-execute an exported transaction log on a fresh ledger.
 
-A log is one JSON header line (format, version, final digest) followed by one
-JSON object per operation, in execution order.  Replaying an unmodified log
-reproduces the exact final state, so the digest check is byte equality.
+A log is one JSON header line (format, version, final digest, entry count)
+followed by one JSON object per transaction, in execution order.  Each entry is
+``{"op": <method name>, **<its keyword arguments>}``; contract operations also
+name their contract.  Replay calls that method with those arguments, so
+replaying an unmodified log reproduces the exact final state, and the digest
+check is byte equality.
 """
 
 from __future__ import annotations
@@ -12,7 +15,24 @@ from typing import Dict, List, Tuple
 
 from .contract import SlaContract, SlaTerms
 from .errors import DigestMismatch, MalformedLog, SimError
-from .ledger import TXLOG_FORMAT, TXLOG_VERSION, EventKind, Ledger
+from .ledger import TXLOG_FORMAT, TXLOG_VERSION, Ledger
+
+# SlaContract methods a log entry may name.  Each is looked up on the contract
+# when its entry is replayed, not bound here, so a wrapper installed on the
+# class at run time (as perfbench/tracer.py does) is the method called.
+CONTRACT_OPS = frozenset(
+    {
+        "register_scp",
+        "deposit",
+        "record_traffic",
+        "record_traffic_batch",
+        "throughput_breach",
+        "close_period",
+        "withdraw",
+        "failsafe_disable",
+        "recover_escrow",
+    }
+)
 
 
 def _decode_entry(line: str):
@@ -38,81 +58,52 @@ def load_txlog(path) -> Tuple[dict, List[dict]]:
             first = fh.readline()
             if not first:
                 raise MalformedLog("empty transaction log file")
-            try:
-                header = json.loads(first)
-                if not isinstance(header, dict) or header.get("format") != TXLOG_FORMAT:
-                    raise MalformedLog("missing or unrecognized transaction log header")
-                if header.get("version") != TXLOG_VERSION:
-                    raise MalformedLog(
-                        f"unsupported log version {header.get('version')!r}"
-                        f" (expected {TXLOG_VERSION})"
-                    )
-                entries = [_decode_entry(line) for line in fh if line.strip()]
-            except json.JSONDecodeError as exc:
-                raise MalformedLog(f"invalid JSON in transaction log: {exc}") from exc
+            header = json.loads(first)
+            if not isinstance(header, dict) or header.get("format") != TXLOG_FORMAT:
+                raise MalformedLog("missing or unrecognized transaction log header")
+            if header.get("version") != TXLOG_VERSION:
+                raise MalformedLog(
+                    f"unsupported log version {header.get('version')!r}"
+                    f" (expected {TXLOG_VERSION})"
+                )
+            entries = [_decode_entry(line) for line in fh if line.strip()]
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MalformedLog(f"invalid JSON in transaction log: {exc}") from exc
     except OSError as exc:
         raise MalformedLog(f"cannot read {path}: {exc}") from exc
     return header, entries
 
 
 def replay_entries(entries: List[dict]) -> Ledger:
-    """Apply logged operations, in order, to a fresh ledger."""
+    """Apply logged transactions, in order, to a fresh ledger.
+
+    ``create_contract`` constructs a contract; every other entry calls the
+    method it names with its remaining fields as keyword arguments.
+    """
     ledger = Ledger()
     contracts: Dict[str, SlaContract] = {}
-
-    def contract_for(entry: dict) -> SlaContract:
-        cid = entry.get("contract")
-        if cid not in contracts:
-            raise MalformedLog(f"operation references unknown contract {cid!r}")
-        return contracts[cid]
-
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict) or "op" not in entry:
             raise MalformedLog(f"entry {pos}: not an operation object")
-        op = entry["op"]
+        fields = dict(entry)
+        op = fields.pop("op")
         try:
-            if op == "record_traffic_batch":
-                contract_for(entry).record_traffic_batch(entry["caller"], entry["samples"])
-            elif op == "record_traffic":
-                contract_for(entry).record_traffic(
-                    entry["caller"], entry["scp"], entry["qci"], entry["kb"]
-                )
-            elif op == "create_account":
-                ledger.create_account(entry["balance"], entry["label"])
-            elif op == "transfer":
-                ledger.transfer(entry["src"], entry["dst"], entry["amount"])
-            elif op == "advance_period":
-                ledger.advance_period()
-            elif op == "append_event":
-                ledger.append_event(
-                    EventKind(entry["kind"]),
-                    entry["subject"],
-                    entry.get("qci"),
-                    tuple((name, value) for name, value in entry.get("payload", [])),
-                )
-            elif op == "create_contract":
-                contract = SlaContract(ledger, entry["owner"], entry["contract"])
+            if op == "create_contract":
+                contract = SlaContract(ledger, contract_id=fields.pop("contract"), **fields)
                 contracts[contract.id] = contract
-            elif op == "register_scp":
-                contract_for(entry).register_scp(
-                    entry["caller"], entry["scp"], SlaTerms.from_dict(entry["terms"])
-                )
-            elif op == "deposit":
-                contract_for(entry).deposit(entry["caller"], entry["amount"])
-            elif op == "throughput_breach":
-                contract_for(entry).throughput_breach(
-                    entry["caller"], entry["scp"], entry["qci"], entry["deficit"]
-                )
-            elif op == "close_period":
-                contract_for(entry).close_period(entry["caller"])
-            elif op == "withdraw":
-                contract_for(entry).withdraw(entry["caller"])
-            elif op == "failsafe_disable":
-                contract_for(entry).failsafe_disable(entry["caller"])
-            elif op == "recover_escrow":
-                contract_for(entry).recover_escrow(entry["caller"])
+                continue
+            if op == "create_account":
+                target = ledger
+            elif op in CONTRACT_OPS:
+                cid = fields.pop("contract", None)
+                if cid not in contracts:
+                    raise MalformedLog(f"operation references unknown contract {cid!r}")
+                target = contracts[cid]
             else:
                 raise MalformedLog(f"entry {pos}: unknown operation {op!r}")
+            if "terms" in fields:
+                fields["terms"] = SlaTerms.from_dict(fields["terms"])
+            getattr(target, op)(**fields)
         except MalformedLog:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -125,15 +116,21 @@ def replay_entries(entries: List[dict]) -> Ledger:
 def replay_file(path) -> Tuple[str, str]:
     """Replay a log file; returns (recomputed digest, digest from header).
 
-    Raises DigestMismatch when the two differ.
+    Raises DigestMismatch when the two differ, then MalformedLog when the
+    header's entry count differs from the entries replayed.
     """
     header, entries = load_txlog(path)
     expected = header.get("digest")
     if not isinstance(expected, str):
         raise MalformedLog("header is missing its digest")
     ledger = replay_entries(entries)
+    replayed = len(entries)
     del entries  # freed before the digest allocates, to lower peak memory
     digest = ledger.state_digest()
     if digest != expected:
         raise DigestMismatch(f"replay digest {digest} != recorded {expected}")
+    if header.get("entries") != replayed:
+        raise MalformedLog(
+            f"header counts {header.get('entries')!r} entries, the log holds {replayed}"
+        )
     return digest, expected

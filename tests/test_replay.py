@@ -1,13 +1,14 @@
 """Transaction log export, replay and tamper detection."""
 
+import hashlib
 import json
 
 import pytest
 
-from conftest import make_terms
+from conftest import make_flat_terms, make_terms
 from test_config import valid_dict
 from slasim import Ledger, SlaContract
-from slasim.cli import setup_run
+from slasim.cli import EXIT_OK, cmd_run, setup_run
 from slasim.config import config_from_dict
 from slasim.errors import DigestMismatch, MalformedLog
 from slasim.replay import load_txlog, replay_entries, replay_file
@@ -68,6 +69,73 @@ def test_tampered_amount_is_detected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DigestMismatch):
         replay_file(path)
+
+
+LOGGED_OPS = {
+    "create_account",
+    "create_contract",
+    "register_scp",
+    "deposit",
+    "record_traffic",
+    "record_traffic_batch",
+    "throughput_breach",
+    "close_period",
+    "withdraw",
+    "failsafe_disable",
+    "recover_escrow",
+}
+
+
+def every_op_world():
+    """A ledger whose log holds every logged operation, a re-registration included."""
+    ledger = Ledger()
+    owner = ledger.create_account(100_000, "mno")
+    contract = SlaContract(ledger, owner)
+    scp = ledger.create_account()  # no label: the ledger names it
+    other = ledger.create_account(0, "scp-2")
+    contract.register_scp(owner, scp, make_terms())
+    contract.register_scp(owner, other, make_flat_terms())
+    contract.deposit(owner, 80_000)
+    for _ in range(3):  # scp breaches three periods running and is removed
+        contract.record_traffic(owner, scp, 1, 500)
+        contract.record_traffic_batch(owner, [(scp, 5, 200), (other, 1, 300)])
+        contract.throughput_breach(owner, scp, 1, 40)
+        contract.close_period(owner)
+    contract.register_scp(owner, scp, make_terms(strike_limit=2))  # archives the old record
+    contract.record_traffic(owner, scp, 1, 100)
+    contract.close_period(owner)
+    contract.withdraw(other)
+    contract.failsafe_disable(owner)
+    contract.withdraw(scp)
+    contract.recover_escrow(owner)
+    return ledger
+
+
+def test_every_logged_op_round_trips(tmp_path):
+    ledger = every_op_world()
+    assert {entry["op"] for entry in ledger.txlog} == LOGGED_OPS
+    assert ledger.contracts["sla-0"].archived
+    path = tmp_path / "log.jsonl"
+    ledger.export_txlog(path)
+    _, entries = load_txlog(path)
+    assert replay_entries(entries).canonical_state() == ledger.canonical_state()
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_wire_format_is_pinned(tmp_path):
+    """The bytes of a run's outputs and of a log holding every op do not drift."""
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(valid_dict()))
+    out = tmp_path / "out"
+    assert cmd_run(str(config), str(out)) == EXIT_OK
+    assert sha256_of(out / "txlog.jsonl") == "20d243d7ba6e1ed3fc0fc853d3e925a5749ccf722cf58952fbdff0bea70345f8"
+    assert sha256_of(out / "report.csv") == "31d8e3dfffd1fefa528ec5d864f2387b1fff5205e94ef8b4495db6a27f9143d1"
+    assert json.loads((out / "report.json").read_text())["digest"] == "b3f0d5456e375c4d4fe52ed25a10f3c3ed5cce489dc00ca9084dca3d09e2ed65"
+    every_op_world().export_txlog(tmp_path / "every_op.jsonl")
+    assert sha256_of(tmp_path / "every_op.jsonl") == "6bfacbccbd7ca22d41bf2994df717f5480ae4863d86b120137bf0985bf5f2d87"
 
 
 def driven_log(tmp_path):
@@ -170,14 +238,68 @@ def test_missing_header_rejected(tmp_path):
         replay_file(path)
 
 
-def test_unknown_op_rejected():
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"op": "mint_gold"},
+        # ledger primitives run inside transactions and are never logged
+        {"op": "transfer", "src": "a", "dst": "b", "amount": 1},
+        {"op": "append_event", "kind": "Deposit", "subject": "a"},
+        {"op": "advance_period"},
+    ],
+    ids=lambda entry: entry["op"],
+)
+def test_unknown_op_rejected(entry):
     with pytest.raises(MalformedLog, match="unknown operation"):
-        replay_entries([{"op": "mint_gold"}])
+        replay_entries([entry])
 
 
-def test_invalid_fields_rejected():
-    with pytest.raises(MalformedLog, match="bad fields"):
-        replay_entries([{"op": "transfer", "src": "a"}])
+WORLD = [
+    {"op": "create_account", "label": "mno", "balance": 100},
+    {"op": "create_contract", "contract": "sla-0", "owner": "mno"},
+]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"op": "deposit", "contract": "sla-0"},
+        {"op": "create_account", "label": "a", "balance": -1},
+        {"op": "deposit", "contract": "sla-0", "caller": "mno", "amount": 1, "memo": "x"},
+        {"op": "create_contract", "owner": "mno"},
+    ],
+    ids=["missing-field", "negative-balance", "extra-field", "contract-missing-id"],
+)
+def test_invalid_fields_rejected(entry):
+    with pytest.raises(MalformedLog, match=rf"entry 2 \({entry['op']}\): bad fields"):
+        replay_entries(WORLD + [entry])
+
+
+@pytest.mark.parametrize("line", [0, 1], ids=["header", "entry"])
+def test_non_utf8_log_rejected(tmp_path, line):
+    path = tmp_path / "log.jsonl"
+    busy_world().export_txlog(path)
+    lines = path.read_bytes().splitlines()
+    lines[line] = b"\xff\xfe"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(MalformedLog, match="invalid JSON"):
+        replay_file(path)
+
+
+@pytest.mark.parametrize("count", [999, "missing"])
+def test_header_entry_count_is_checked(tmp_path, count):
+    path = tmp_path / "log.jsonl"
+    busy_world().export_txlog(path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    if count == "missing":
+        del header["entries"]
+    else:
+        header["entries"] = count
+    lines[0] = json.dumps(header, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedLog, match=f"the log holds {len(lines) - 1}"):
+        replay_file(path)
 
 
 def test_empty_file_rejected(tmp_path):
