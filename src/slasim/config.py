@@ -28,6 +28,9 @@ A scenario file is a single JSON object:
       ]
     }
 
+Every QCI agreed in an SCP's ``terms`` needs a ``traffic`` stream and every
+stream's QCI must be agreed in ``terms``: an unmonitored QCI could never
+breach, so such a scenario is rejected at load.
 Rationals are [numerator, denominator] pairs of non-negative integers.
 Degradation windows are inclusive on both ends and multipliers compose
 multiplicatively with floor rounding.  QCI profiles are informational
@@ -101,6 +104,12 @@ class ScenarioConfig:
                 scp.terms.validate()
             except ValueError as exc:
                 raise InvalidConfig(f"{where}.terms: {exc}") from exc
+            unmonitored = sorted(set(scp.terms.agreed_throughput) - set(scp.traffic))
+            if unmonitored:
+                raise InvalidConfig(
+                    f"{where}.traffic: {scp.label!r} agrees QCIs {unmonitored} with "
+                    f"no traffic stream; an unmonitored QCI can never breach"
+                )
             for qci, model in scp.traffic.items():
                 twhere = f"{where}.traffic.{qci}"
                 if qci not in scp.terms.agreed_throughput:
@@ -181,6 +190,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     for key in ("seed", "num_periods", "escrow_deposit", "scps"):
         if key not in data:
             raise InvalidConfig(f"{key}: missing required field")
+    for key in ("scps", "qci_profiles"):
+        if not isinstance(data.get(key, []), list):
+            raise InvalidConfig(f"{key}: must be an array")
     profiles = []
     for i, raw in enumerate(data.get("qci_profiles", [])):
         try:
@@ -206,6 +218,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             terms = SlaTerms.from_dict(raw["terms"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidConfig(f"{where}.terms: {exc}") from exc
+        if not isinstance(raw["traffic"], dict):
+            raise InvalidConfig(f"{where}.traffic: must be an object")
         traffic = {}
         for qci_key, tm in raw["traffic"].items():
             twhere = f"{where}.traffic.{qci_key}"
@@ -215,6 +229,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 raise InvalidConfig(f"{twhere}: QCI key must be an integer") from None
             if not isinstance(tm, dict) or "nominal_kb" not in tm:
                 raise InvalidConfig(f"{twhere}.nominal_kb: missing required field")
+            if not isinstance(tm.get("degradations", []), list):
+                raise InvalidConfig(f"{twhere}.degradations: must be an array")
             degradations = []
             for j, w in enumerate(tm.get("degradations", [])):
                 wwhere = f"{twhere}.degradations[{j}]"

@@ -43,6 +43,13 @@ PER_TRAFFIC = "per_traffic"
 FLAT_RATE = "flat_rate"
 
 
+def _qci_map(value: object, name: str) -> Dict[int, int]:
+    """A per-QCI JSON object with its string keys read as QCI numbers."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return {int(q): v for q, v in value.items()}
+
+
 @dataclass
 class SlaTerms:
     """Commercial terms of one provider's agreement.
@@ -79,10 +86,6 @@ class SlaTerms:
         if self.flat_rate_per_period < 0:
             raise ValueError("flat_rate_per_period must be >= 0")
 
-    @property
-    def qci_set(self):
-        return set(self.agreed_throughput)
-
     def penalty_debit(self, deficit_kbps: int) -> int:
         num, den = self.penalty_rate
         return num * deficit_kbps // den
@@ -103,8 +106,8 @@ class SlaTerms:
     def from_dict(cls, data: dict) -> "SlaTerms":
         terms = cls(
             payment_mode=data["payment_mode"],
-            agreed_throughput={int(q): v for q, v in data["agreed_throughput"].items()},
-            price_per_kb={int(q): v for q, v in data.get("price_per_kb", {}).items()},
+            agreed_throughput=_qci_map(data["agreed_throughput"], "agreed_throughput"),
+            price_per_kb=_qci_map(data.get("price_per_kb", {}), "price_per_kb"),
             flat_rate_per_period=data.get("flat_rate_per_period", 0),
             penalty_rate=tuple(data.get("penalty_rate", (1, 1))),
             strike_limit=data.get("strike_limit", 3),

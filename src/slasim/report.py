@@ -1,8 +1,10 @@
 """Run reports: per-provider settlement rows plus contract summary.
 
-Both output formats (JSON and CSV) encode exactly the same numbers; CSV
-column order and header names are frozen so golden-file comparisons stay
-stable across releases.
+The rows are a fold of the ledger's event log (``rows_from_events``), as
+off-chain readers learn an on-chain contract's outcome from its logs.  Both
+output formats (JSON and CSV) encode exactly the same numbers; CSV column
+order and header names are frozen so golden-file comparisons stay stable
+across releases.
 """
 
 from __future__ import annotations
@@ -10,9 +12,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from .fileio import atomic_write
+from .ledger import EventKind, EventRecord
 
 REPORT_SCHEMA = "slasim-report.v1"
 
@@ -37,9 +40,6 @@ class ScpRow:
     strikes_timeline: List[int] = field(default_factory=list)
     removal_period: Optional[int] = None
 
-    def arithmetic_closes(self) -> bool:
-        return self.earned - self.penalized - self.withdrawn == self.final_credit
-
     def to_dict(self) -> dict:
         return {
             "scp": self.label,
@@ -50,6 +50,53 @@ class ScpRow:
             "strikes_timeline": list(self.strikes_timeline),
             "removal_period": self.removal_period,
         }
+
+
+def rows_from_events(events: Iterable[EventRecord], num_periods: int) -> Dict[str, ScpRow]:
+    """Fold an event log into one settlement row per registered provider.
+
+    Payouts add to ``earned``, breach debits to ``penalized`` and withdrawals
+    to ``withdrawn``; ``final_credit`` is the running credit.  Each payout
+    applies the strike reset and appends the strike count to the timeline.
+    A removed provider gets no more payouts, so its timeline is padded to
+    ``num_periods`` with its frozen count.  ``ScpRegistered`` starts afresh.
+    """
+    rows: Dict[str, ScpRow] = {}
+    strikes: Dict[str, int] = {}
+    breached: Set[str] = set()
+    for event in events:
+        kind, scp = event.kind, event.subject
+        row = rows.get(scp)
+        if kind is EventKind.PERIODIC_PAYOUT:
+            payout = event.payload_value("payout")
+            row.earned += payout
+            row.final_credit += payout
+            if scp in breached:
+                breached.remove(scp)
+            else:
+                strikes[scp] = 0
+            row.strikes_timeline.append(strikes[scp])
+        elif kind is EventKind.INSUFFICIENT_THROUGHPUT:
+            debit = event.payload_value("debit")
+            row.penalized += debit
+            row.final_credit -= debit
+            if scp not in breached:
+                breached.add(scp)
+                strikes[scp] += 1
+        elif kind is EventKind.WITHDRAWAL:
+            amount = event.payload_value("amount")
+            row.withdrawn += amount
+            row.final_credit -= amount
+        elif kind is EventKind.SCP_REMOVED:
+            row.removal_period = event.period
+        elif kind is EventKind.SCP_REGISTERED:
+            rows[scp] = ScpRow(label=scp)
+            strikes[scp] = 0
+            breached.discard(scp)
+    for scp, row in rows.items():
+        timeline = row.strikes_timeline
+        timeline.extend([strikes[scp]] * (num_periods - len(timeline)))
+    return rows
 
 
 @dataclass
@@ -63,15 +110,6 @@ class RunReport:
     total_recovered: int = 0
     num_events: int = 0
     digest: str = ""
-
-    def validate(self) -> None:
-        for row in self.rows.values():
-            if not row.arithmetic_closes():
-                raise AssertionError(
-                    f"report row for {row.label!r} does not close: "
-                    f"{row.earned} - {row.penalized} - {row.withdrawn} "
-                    f"!= {row.final_credit}"
-                )
 
     def to_dict(self) -> dict:
         return {
@@ -99,15 +137,7 @@ class RunReport:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for label in sorted(self.rows):
-                row = self.rows[label]
-                writer.writerow(
-                    [
-                        row.label,
-                        row.earned,
-                        row.penalized,
-                        row.withdrawn,
-                        row.final_credit,
-                        ";".join(str(s) for s in row.strikes_timeline),
-                        "" if row.removal_period is None else row.removal_period,
-                    ]
-                )
+                entry = self.rows[label].to_dict()
+                entry["strikes_timeline"] = ";".join(map(str, entry["strikes_timeline"]))
+                # csv writes a None removal_period as an empty field
+                writer.writerow([entry[column] for column in CSV_COLUMNS])

@@ -21,7 +21,7 @@ from .config import ScenarioConfig
 from .contract import SlaContract, SlaTerms
 from .errors import UnknownQci
 from .ledger import Ledger
-from .report import RunReport, ScpRow
+from .report import RunReport, rows_from_events
 from .rng import splitmix64, stream_key
 
 # (label, qci, kb_served) with kb_served == measured average throughput
@@ -105,14 +105,14 @@ def drive(
 
     Expects every scenario SCP registered under its label as its ledger
     address and the owner's deposit already made.  After the last period,
-    every provider with positive credit withdraws.  Propagates contract
-    errors (notably InsufficientEscrowForAccrual) to the caller.
+    every provider with positive credit withdraws.  The report's rows are
+    folded from the resulting event log.  Propagates contract errors
+    (notably InsufficientEscrowForAccrual) to the caller.
     """
     if trace is None:
         trace = generate_trace(config)
     owner = contract.owner
     terms_by_label = {scp.label: scp.terms for scp in config.scps}
-    rows = {scp.label: ScpRow(label=scp.label) for scp in config.scps}
 
     for period in range(config.num_periods):
         period_slice = trace.period_slice(period)
@@ -120,30 +120,18 @@ def drive(
         if samples:
             contract.record_traffic_batch(owner, samples)
         for label, qci, deficit in detect_breaches(period_slice, terms_by_label):
-            record = contract.registry[label]
-            if not record.active:
-                continue
-            before = record.credit
-            contract.throughput_breach(owner, label, qci, deficit)
-            rows[label].penalized += before - record.credit
-            if not record.active:
-                rows[label].removal_period = period
-        credits_before = {label: contract.registry[label].credit for label in rows}
+            if contract.registry[label].active:
+                contract.throughput_breach(owner, label, qci, deficit)
         contract.close_period(owner)
-        for label, row in rows.items():
-            record = contract.registry[label]
-            row.earned += record.credit - credits_before[label]
-            row.strikes_timeline.append(record.consecutive_strikes)
 
-    for label in sorted(rows):
+    for label in sorted(terms_by_label):
         if contract.registry[label].credit > 0:
-            rows[label].withdrawn += contract.withdraw(label)
-        rows[label].final_credit = contract.registry[label].credit
+            contract.withdraw(label)
 
-    report = RunReport(
+    return RunReport(
         seed=config.seed,
         config_echo=config.to_dict(),
-        rows=rows,
+        rows=rows_from_events(ledger.events, config.num_periods),
         total_deposits=contract.total_deposits,
         escrow_remaining=contract.escrow,
         total_withdrawn=contract.total_withdrawn,
@@ -151,5 +139,3 @@ def drive(
         num_events=len(ledger.events),
         digest=ledger.state_digest(),
     )
-    report.validate()
-    return report

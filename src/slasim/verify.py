@@ -1,22 +1,24 @@
 """Built-in verification suites: strike-rule oracle, conservation fuzz,
-and reconstruction of contract state purely from the event log.
+and a check of the live registry against the event log.
 
 These are the independent cross-checks behind the ``verify`` CLI command and
 the acceptance tests.  The strike oracle deliberately knows nothing about the
 contract implementation: it is a plain counter over breach/clean period
-sequences.
+sequences.  The event-log check reads the log through the fold that builds
+report rows (:func:`slasim.report.rows_from_events`), so it also checks that
+the report's numbers follow from the events.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .contract import PER_TRAFFIC, SlaContract, SlaTerms
 from .errors import ContractError
-from .ledger import EventKind, EventRecord, Ledger
+from .ledger import EventKind, Ledger
+from .report import rows_from_events
 
 
 # --- 3-strike oracle ---------------------------------------------------------
@@ -77,69 +79,29 @@ def check_strike_equivalence(max_len: int, limit: int = 3) -> Optional[dict]:
     return None
 
 
-# --- event-log reconstruction ------------------------------------------------
-
-@dataclass
-class ReconstructedScp:
-    credit: int = 0
-    consecutive_strikes: int = 0
-    active: bool = True
-    breached_this_period: bool = False
-    earned: int = 0
-    penalized: int = 0
-    withdrawn: int = 0
-
-
-def reconstruct_from_events(events: List[EventRecord]) -> Dict[str, ReconstructedScp]:
-    """Rebuild every provider's credit/strike trajectory from events alone."""
-    state: Dict[str, ReconstructedScp] = {}
-    for event in events:
-        scp = event.subject
-        if event.kind is EventKind.SCP_REGISTERED:
-            state[scp] = ReconstructedScp()
-        elif event.kind is EventKind.INSUFFICIENT_THROUGHPUT:
-            rec = state[scp]
-            debit = event.payload_value("debit")
-            rec.credit -= debit
-            rec.penalized += debit
-            if not rec.breached_this_period:
-                rec.breached_this_period = True
-                rec.consecutive_strikes += 1
-        elif event.kind is EventKind.SCP_REMOVED:
-            state[scp].active = False
-        elif event.kind is EventKind.PERIODIC_PAYOUT:
-            rec = state[scp]
-            payout = event.payload_value("payout")
-            rec.credit += payout
-            rec.earned += payout
-            if not rec.breached_this_period:
-                rec.consecutive_strikes = 0
-            rec.breached_this_period = False
-        elif event.kind is EventKind.WITHDRAWAL:
-            rec = state[scp]
-            amount = event.payload_value("amount")
-            rec.credit -= amount
-            rec.withdrawn += amount
-    return state
-
+# --- event-log cross-check ---------------------------------------------------
 
 def registry_matches_events(contract: SlaContract) -> Optional[str]:
-    """None if the live registry equals the event-log reconstruction."""
-    rebuilt = reconstruct_from_events(contract.ledger.events)
+    """None if the live registry agrees with the report fold of the event log.
+
+    Compares each provider's credit, strikes and active flag.  A period-
+    boundary check, as every caller uses it: strikes are read off the
+    timeline, which records the count at each close.
+    """
+    ledger = contract.ledger
+    rows = rows_from_events(ledger.events, ledger.current_period)
+    state = "credit={} strikes={} active={}"
     for addr, record in contract.registry.items():
-        rec = rebuilt.get(addr)
-        if rec is None:
+        row = rows.get(addr)
+        if row is None:
             return f"{addr!r} registered but absent from events"
-        if (rec.credit, rec.consecutive_strikes, rec.active) != (
-            record.credit,
-            record.consecutive_strikes,
-            record.active,
-        ):
+        strikes = row.strikes_timeline[-1] if row.strikes_timeline else 0
+        events_say = (row.final_credit, strikes, row.removal_period is None)
+        registry_says = (record.credit, record.consecutive_strikes, record.active)
+        if events_say != registry_says:
             return (
-                f"{addr!r}: events say credit={rec.credit} strikes="
-                f"{rec.consecutive_strikes} active={rec.active}, registry says "
-                f"credit={record.credit} strikes={record.consecutive_strikes} "
-                f"active={record.active}"
+                f"{addr!r}: events say {state.format(*events_say)}, "
+                f"registry says {state.format(*registry_says)}"
             )
     return None
 

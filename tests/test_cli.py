@@ -48,6 +48,15 @@ def test_malformed_config_names_field(tmp_path, capsys):
     assert "escrow_deposit" in capsys.readouterr().err
 
 
+def test_wrongly_typed_config_field_is_invalid(tmp_path, capsys):
+    bad = json.loads(json.dumps(VALID))
+    bad["scps"][0]["traffic"] = [1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert run_cli("run", "--config", path, "--out", tmp_path / "out") == EXIT_INVALID
+    assert "scps[0].traffic: must be an object" in capsys.readouterr().err
+
+
 def test_seed_override_echoed(config_file, tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "--config", config_file, "--out", out, "--seed", 777) == EXIT_OK

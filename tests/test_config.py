@@ -104,3 +104,35 @@ def test_invalid_json(tmp_path):
     path.write_text("{nope")
     with pytest.raises(InvalidConfig, match="not valid JSON"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("scps", 0, "traffic"), [1]),
+        (("scps", 0, "terms", "agreed_throughput"), [1]),
+        (("scps", 0, "terms", "price_per_kb"), "x"),
+        (("scps",), 5),
+        (("qci_profiles",), 5),
+        (("scps", 0, "traffic", "1", "degradations"), 5),
+    ],
+    ids=["traffic", "agreed_throughput", "price_per_kb", "scps", "qci_profiles", "degradations"],
+)
+def test_wrongly_typed_container_is_named(path, value):
+    data = valid_dict()
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(InvalidConfig, match=path[-1]):
+        config_from_dict(data)
+
+
+def test_unmonitored_qci_rejected():
+    # QCI 5 is agreed but never measured, so it could never breach
+    data = valid_dict()
+    terms = data["scps"][0]["terms"]
+    terms["agreed_throughput"]["5"] = 500
+    terms["price_per_kb"]["5"] = 1
+    with pytest.raises(InvalidConfig, match=r"scps\[0\]\.traffic: 'scp-1' agrees QCIs \[5\]"):
+        config_from_dict(data)

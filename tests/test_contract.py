@@ -20,6 +20,7 @@ from slasim.errors import (
     UnknownScp,
     ZeroDeficit,
 )
+from slasim.report import rows_from_events
 from slasim.verify import registry_matches_events, strike_oracle_removal_period
 
 
@@ -439,3 +440,20 @@ class TestEventReconstruction:
             contract.close_period(owner)
         contract.withdraw(scps[2])
         assert registry_matches_events(contract) is None
+
+    def test_reregistered_provider_matches_registry(self, world):
+        ledger, contract, owner, scp = world
+        contract.record_traffic(owner, scp, 1, 100)
+        contract.close_period(owner)
+        for _ in range(3):
+            contract.throughput_breach(owner, scp, 1, 10)
+            contract.close_period(owner)
+        assert not contract.registry[scp].active
+        assert registry_matches_events(contract) is None
+        contract.register_scp(owner, scp, make_terms())
+        contract.throughput_breach(owner, scp, 5, 1)
+        contract.close_period(owner)
+        assert registry_matches_events(contract) is None
+        row = rows_from_events(ledger.events, ledger.current_period)[scp]
+        assert (row.earned, row.penalized, row.final_credit) == (0, 5, -5)
+        assert row.removal_period is None

@@ -267,8 +267,13 @@ WORLD = [
         {"op": "create_account", "label": "a", "balance": -1},
         {"op": "deposit", "contract": "sla-0", "caller": "mno", "amount": 1, "memo": "x"},
         {"op": "create_contract", "owner": "mno"},
+        {
+            "op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "mno",
+            "terms": {"payment_mode": "flat_rate", "agreed_throughput": [1]},
+        },
     ],
-    ids=["missing-field", "negative-balance", "extra-field", "contract-missing-id"],
+    ids=["missing-field", "negative-balance", "extra-field", "contract-missing-id",
+         "terms-not-object"],
 )
 def test_invalid_fields_rejected(entry):
     with pytest.raises(MalformedLog, match=rf"entry 2 \({entry['op']}\): bad fields"):
