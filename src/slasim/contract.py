@@ -43,6 +43,11 @@ PER_TRAFFIC = "per_traffic"
 FLAT_RATE = "flat_rate"
 
 
+def _is_int(value: object) -> bool:
+    """Settlement is integer arithmetic: a term is an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _qci_map(value: object, name: str) -> Dict[int, int]:
     """A per-QCI JSON object with its string keys read as QCI numbers."""
     if not isinstance(value, dict):
@@ -55,7 +60,8 @@ class SlaTerms:
     """Commercial terms of one provider's agreement.
 
     ``penalty_rate`` is a rational (numerator, denominator): monetary units
-    debited per kb/period of throughput deficit, floor-rounded.
+    debited per kb/period of throughput deficit, floor-rounded.  Every amount,
+    rate and limit is an ``int``; ``validate`` rejects floats and booleans.
     """
 
     payment_mode: str
@@ -74,17 +80,24 @@ class SlaTerms:
             self.agreed_throughput
         ):
             raise ValueError("price_per_kb and agreed_throughput must share one QCI set")
-        num, den = self.penalty_rate
-        if den <= 0 or num < 0:
-            raise ValueError(f"bad penalty_rate {self.penalty_rate!r}")
-        if self.strike_limit < 1:
-            raise ValueError("strike_limit must be >= 1")
-        for mapping in (self.agreed_throughput, self.price_per_kb):
+        rate = self.penalty_rate
+        if len(rate) != 2 or not all(map(_is_int, rate)) or rate[1] <= 0 or rate[0] < 0:
+            raise ValueError(f"bad penalty_rate {rate!r}")
+        if not _is_int(self.strike_limit) or self.strike_limit < 1:
+            raise ValueError(f"strike_limit must be an integer >= 1, got {self.strike_limit!r}")
+        for name, mapping in (
+            ("agreed_throughput", self.agreed_throughput),
+            ("price_per_kb", self.price_per_kb),
+        ):
             for qci, value in mapping.items():
+                if not (_is_int(qci) and _is_int(value)):
+                    raise ValueError(f"{name} must map QCIs to integers, got {qci!r}: {value!r}")
                 if qci < 0 or value < 0:
                     raise ValueError(f"negative QCI term {qci}: {value}")
-        if self.flat_rate_per_period < 0:
-            raise ValueError("flat_rate_per_period must be >= 0")
+        if not _is_int(self.flat_rate_per_period) or self.flat_rate_per_period < 0:
+            raise ValueError(
+                f"flat_rate_per_period must be an integer >= 0, got {self.flat_rate_per_period!r}"
+            )
 
     def penalty_debit(self, deficit_kbps: int) -> int:
         num, den = self.penalty_rate
@@ -177,14 +190,24 @@ class SlaContract:
             raise InactiveScp(f"{scp!r} has been removed from the register")
         return record
 
-    def _traffic_record(self, scp: str, qci: int, kb: int) -> ScpRecord:
-        """The record a served-traffic sample may be added to, once checked."""
-        record = self._active_record(scp)
-        if qci not in record.terms.agreed_throughput:
-            raise UnknownQci(f"QCI {qci} is not part of {scp!r}'s agreement")
-        if kb < 0:
-            raise ValueError("kb must be >= 0")
-        return record
+    def _add_served(self, samples: Tuple[Tuple[str, int, int], ...]) -> None:
+        """Add ``(scp, qci, kb)`` samples to ``served`` once every one is checked.
+
+        A bad sample raises before any counter changes, so a rejected call
+        changes nothing.  Each provider's record is looked up once per call.
+        """
+        records: Dict[str, ScpRecord] = {}
+        for scp, qci, kb in samples:
+            record = records.get(scp)
+            if record is None:
+                record = records[scp] = self._active_record(scp)
+            if qci not in record.terms.agreed_throughput:
+                raise UnknownQci(f"QCI {qci} is not part of {scp!r}'s agreement")
+            if kb < 0:
+                raise ValueError("kb must be >= 0")
+        for scp, qci, kb in samples:
+            served = records[scp].served
+            served[qci] = served.get(qci, 0) + kb
 
     # --- registration and funding -------------------------------------------
 
@@ -222,8 +245,7 @@ class SlaContract:
     def record_traffic(self, caller: str, scp: str, qci: int, kb: int) -> None:
         self._require_owner(caller)
         self._require_enabled()
-        record = self._traffic_record(scp, qci, kb)
-        record.served[qci] = record.served.get(qci, 0) + kb
+        self._add_served(((scp, qci, kb),))
         self.ledger._log(
             "record_traffic", contract=self.id, caller=caller, scp=scp, qci=qci, kb=kb
         )
@@ -241,9 +263,7 @@ class SlaContract:
         self._require_owner(caller)
         self._require_enabled()
         logged = tuple(map(tuple, samples))
-        records = [self._traffic_record(scp, qci, kb) for scp, qci, kb in logged]
-        for record, (_, qci, kb) in zip(records, logged):
-            record.served[qci] = record.served.get(qci, 0) + kb
+        self._add_served(logged)
         self.ledger._log(
             "record_traffic_batch", contract=self.id, caller=caller, samples=logged
         )
@@ -295,33 +315,39 @@ class SlaContract:
         """
         self._require_owner(caller)
         self._require_enabled()
-        payouts = [
-            (addr, self._payout_for(self.registry[addr]))
-            for addr in sorted(self.registry)
-            if self.registry[addr].active
-        ]
-        prospective = {addr: payout for addr, payout in payouts}
-        positive_after = sum(
-            max(rec.credit + prospective.get(addr, 0), 0)
-            for addr, rec in self.registry.items()
-        ) + sum(max(rec.credit, 0) for rec in self.archived)
-        if self.escrow < positive_after:
+        # one pass in address order: the payouts to active providers, the
+        # removed providers (their period flags are cleared too) and the
+        # positive credit owed once the payouts accrue
+        payouts: List[Tuple[ScpRecord, int]] = []
+        removed: List[ScpRecord] = []
+        owed = sum(max(rec.credit, 0) for rec in self.archived)
+        for addr in sorted(self.registry):
+            record = self.registry[addr]
+            if record.active:
+                payout = self._payout_for(record)
+                payouts.append((record, payout))
+                owed += max(record.credit + payout, 0)
+            else:
+                removed.append(record)
+                owed += max(record.credit, 0)
+        if self.escrow < owed:
             raise InsufficientEscrowForAccrual(
-                f"escrow {self.escrow} cannot cover accrued credits {positive_after} "
+                f"escrow {self.escrow} cannot cover accrued credits {owed} "
                 f"in period {self.ledger.current_period}"
             )
         period = self.ledger.current_period
-        for addr, payout in payouts:
-            record = self.registry[addr]
+        for record, payout in payouts:
             record.credit += payout
             self.ledger.append_event(
                 EventKind.PERIODIC_PAYOUT,
-                addr,
+                record.address,
                 payload=(("payout", payout), ("period", period)),
             )
-        for record in self.registry.values():
-            if record.active and not record.breached_this_period:
+            if not record.breached_this_period:
                 record.consecutive_strikes = 0
+            record.breached_this_period = False
+            record.served.clear()
+        for record in removed:
             record.breached_this_period = False
             record.served.clear()
         self.ledger.advance_period()

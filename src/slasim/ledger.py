@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DuplicateAddress, InsufficientFunds, UnknownAddress
 from .fileio import atomic_write
@@ -30,10 +29,10 @@ from .fileio import atomic_write
 TXLOG_FORMAT = "slasim-txlog"
 TXLOG_VERSION = 3  # 3: events enter the digest as a running SHA-256
 
-# Events folded into the digest per encoder call.  Fewer than the garbage
-# collector's default first-generation threshold (700), so each batch's row
-# lists are freed before a collection can promote them and trigger a full
-# collection of the whole heap; the hash does not depend on the batch size.
+# Events folded into the digest per encoder call, so the JSON text held at once
+# stays small.  Records are encoded as they are (a NamedTuple is a JSON array
+# and EventKind a str), so a batch allocates only its slice and its text; the
+# hash does not depend on the batch size.
 _FOLD_BATCH = 256
 
 
@@ -48,9 +47,12 @@ class EventKind(str, Enum):
     ESCROW_RECOVERED = "EscrowRecovered"
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One immutable, indexed log entry.  Payload is ordered (name, value) pairs."""
+class EventRecord(NamedTuple):
+    """One immutable, indexed log entry.  Payload is ordered (name, value) pairs.
+
+    Its JSON array ``[index, period, kind, subject, qci, [[name, value], ...]]``
+    is the row the state digest folds (``Ledger._events_sha256``).
+    """
 
     index: int
     period: int
@@ -135,16 +137,11 @@ class Ledger:
         qci: Optional[int] = None,
         payload: Tuple[Tuple[str, int], ...] = (),
     ) -> int:
-        record = EventRecord(
-            index=len(self.events),
-            period=self.current_period,
-            kind=kind,
-            subject=subject,
-            qci=qci,
-            payload=tuple(payload),
+        index = len(self.events)
+        self.events.append(
+            EventRecord(index, self.current_period, kind, subject, qci, tuple(payload))
         )
-        self.events.append(record)
-        return record.index
+        return index
 
     def query_events(
         self,
@@ -198,10 +195,7 @@ class Ledger:
         events = self.events
         while self._events_hashed < len(events):
             start = self._events_hashed
-            rows = [
-                [r.index, r.period, r.kind.value, r.subject, r.qci, r.payload]
-                for r in events[start : start + _FOLD_BATCH]
-            ]
+            rows = events[start : start + _FOLD_BATCH]
             blob = json.dumps(rows, separators=(",", ":"))[1:-1] + ","
             self._events_hash.update(blob.encode("utf-8"))
             self._events_hashed += len(rows)

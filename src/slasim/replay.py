@@ -11,7 +11,8 @@ check is byte equality.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+from contextlib import closing
+from typing import Dict, Iterable, Iterator, Tuple
 
 from .contract import SlaContract, SlaTerms
 from .errors import DigestMismatch, MalformedLog, SimError
@@ -35,24 +36,12 @@ CONTRACT_OPS = frozenset(
 )
 
 
-def _decode_entry(line: str):
-    """Decode one operation line, turning batch samples into tuples.
+def _read_log(path) -> Iterator[dict]:
+    """Yield the checked header, then each entry as it is decoded.
 
-    JSON arrays decode as lists, which the garbage collector tracks for as
-    long as the log is held; it stops tracking tuples of plain values, so
-    collections during replay do not rescan every sample.  Samples that are
-    not lists are left for ``replay_entries`` to reject.
+    The file stays open until the last entry is read or the generator is
+    closed; a bad line is reported when iteration reaches it.
     """
-    entry = json.loads(line)
-    if isinstance(entry, dict) and entry.get("op") == "record_traffic_batch":
-        samples = entry.get("samples")
-        if isinstance(samples, list):
-            entry["samples"] = tuple(tuple(s) if isinstance(s, list) else s for s in samples)
-    return entry
-
-
-def load_txlog(path) -> Tuple[dict, List[dict]]:
-    """Read and check the header line, then decode the entries line by line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()
@@ -66,15 +55,28 @@ def load_txlog(path) -> Tuple[dict, List[dict]]:
                     f"unsupported log version {header.get('version')!r}"
                     f" (expected {TXLOG_VERSION})"
                 )
-            entries = [_decode_entry(line) for line in fh if line.strip()]
+            yield header
+            for line in fh:
+                if line.strip():
+                    yield json.loads(line)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedLog(f"invalid JSON in transaction log: {exc}") from exc
     except OSError as exc:
         raise MalformedLog(f"cannot read {path}: {exc}") from exc
-    return header, entries
 
 
-def replay_entries(entries: List[dict]) -> Ledger:
+def load_txlog(path) -> Tuple[dict, Iterator[dict]]:
+    """Read and check the header line; return it and an iterator of the entries.
+
+    The entries are decoded one line at a time as the iterator is advanced.
+    It holds the file open: exhaust it or close it.
+    """
+    lines = _read_log(path)
+    header = next(lines)
+    return header, lines
+
+
+def replay_entries(entries: Iterable[dict]) -> Ledger:
     """Apply logged transactions, in order, to a fresh ledger.
 
     ``create_contract`` constructs a contract; every other entry calls the
@@ -116,16 +118,18 @@ def replay_entries(entries: List[dict]) -> Ledger:
 def replay_file(path) -> Tuple[str, str]:
     """Replay a log file; returns (recomputed digest, digest from header).
 
-    Raises DigestMismatch when the two differ, then MalformedLog when the
-    header's entry count differs from the entries replayed.
+    Entries are replayed as they are read, so no list of them is held.
+    Raises DigestMismatch when the two digests differ, then MalformedLog when
+    the header's entry count differs from the entries replayed.
     """
     header, entries = load_txlog(path)
-    expected = header.get("digest")
-    if not isinstance(expected, str):
-        raise MalformedLog("header is missing its digest")
-    ledger = replay_entries(entries)
-    replayed = len(entries)
-    del entries  # freed before the digest allocates, to lower peak memory
+    with closing(entries):  # closes the file if replay stops partway
+        expected = header.get("digest")
+        if not isinstance(expected, str):
+            raise MalformedLog("header is missing its digest")
+        ledger = replay_entries(entries)
+    # every replayed entry is one transaction, and each logs exactly one entry
+    replayed = len(ledger.txlog)
     digest = ledger.state_digest()
     if digest != expected:
         raise DigestMismatch(f"replay digest {digest} != recorded {expected}")

@@ -136,3 +136,23 @@ def test_unmonitored_qci_rejected():
     terms["price_per_kb"]["5"] = 1
     with pytest.raises(InvalidConfig, match=r"scps\[0\]\.traffic: 'scp-1' agrees QCIs \[5\]"):
         config_from_dict(data)
+
+
+# settlement is integer arithmetic, so every amount, rate and limit is an int
+NON_INTEGER_TERMS = [
+    ("price_per_kb", {"1": 1.5}),
+    ("strike_limit", 2.5),
+    ("agreed_throughput", {"1": True}),
+    ("penalty_rate", [1.5, 1]),
+    ("flat_rate_per_period", True),
+]
+
+
+@pytest.mark.parametrize(
+    "name, value", NON_INTEGER_TERMS, ids=[name for name, _ in NON_INTEGER_TERMS]
+)
+def test_non_integer_term_rejected(name, value):
+    data = valid_dict()
+    data["scps"][0]["terms"][name] = value
+    with pytest.raises(InvalidConfig, match=rf"scps\[0\]\.terms: .*{name}"):
+        config_from_dict(data)

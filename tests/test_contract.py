@@ -230,6 +230,58 @@ class TestClosePeriod:
         assert contract.registry[scp].served == {1: 1000}
         assert ledger.current_period == 0
 
+    def test_cover_counts_removed_archived_and_clamps_debt(self, ledger):
+        """The escrow must cover every positive credit once the payouts accrue.
+
+        That is a removed provider's frozen credit, an archived record's
+        credit and each active provider's credit plus payout; a provider whose
+        payout leaves it in debt counts as zero, not as an offset.
+        """
+        owner = ledger.create_account(1_000_000, "mno")
+        contract = SlaContract(ledger, owner)
+        a, b, c = (ledger.create_account(0, label) for label in ("a", "b", "c"))
+        contract.register_scp(owner, a, make_terms(strike_limit=1))
+        contract.register_scp(owner, b, make_terms(strike_limit=1))
+        contract.register_scp(owner, c, make_terms())
+        contract.deposit(owner, 3000)
+        contract.record_traffic(owner, a, 1, 1000)  # price 2/kb: pays 2000
+        contract.record_traffic(owner, b, 1, 500)  # pays 1000
+        contract.close_period(owner)
+        for scp in (a, b):  # penalty 5/kb: debit 50, removed at the first strike
+            contract.throughput_breach(owner, scp, 1, 10)
+        contract.register_scp(owner, b, make_terms())  # archives b's credit 950
+        contract.record_traffic(owner, b, 1, 100)  # the fresh record earns 200
+        contract.throughput_breach(owner, c, 1, 100)  # debit 500
+        contract.record_traffic(owner, c, 1, 50)  # pays 100: -400 after close
+        owed = 1950 + 950 + 200  # removed a, archived b, active b; c counts 0
+        contract.deposit(owner, owed - 1 - contract.escrow)
+        before = (
+            contract.canonical_state(),
+            ledger.current_period,
+            list(ledger.events),
+            list(ledger.txlog),
+        )
+        with pytest.raises(InsufficientEscrowForAccrual, match=f"credits {owed} "):
+            contract.close_period(owner)
+        after = (
+            contract.canonical_state(),
+            ledger.current_period,
+            list(ledger.events),
+            list(ledger.txlog),
+        )
+        assert after == before
+        contract.deposit(owner, 1)
+        contract.close_period(owner)
+        assert contract.escrow == owed
+        assert [contract.get_scp_status(scp)[:2] for scp in (a, b, c)] == [
+            (False, 1950),
+            (True, 200),
+            (True, -400),
+        ]
+        assert [rec.credit for rec in contract.archived] == [950]
+        assert contract.registry[c].served == {}
+        assert not contract.registry[a].breached_this_period
+
 
 class TestThroughputBreach:
     def test_proportional_debit(self, world):

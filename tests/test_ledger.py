@@ -1,6 +1,5 @@
 """Ledger substrate: accounts, events, period clock, digests."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -224,7 +223,7 @@ class TestRollingEventDigest:
         def digest(**fields):
             ledger = Ledger()
             ledger.append_event(EventKind.DEPOSIT, "a", qci=1, payload=(("amount", 7),))
-            ledger.events[0] = dataclasses.replace(ledger.events[0], **fields)
+            ledger.events[0] = ledger.events[0]._replace(**fields)
             return ledger.state_digest()
 
         assert digest(**change) != digest()

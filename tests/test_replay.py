@@ -1,13 +1,15 @@
 """Transaction log export, replay and tamper detection."""
 
+import gc
 import hashlib
 import json
+import warnings
 
 import pytest
 
 from conftest import make_flat_terms, make_terms
-from test_config import valid_dict
-from slasim import Ledger, SlaContract
+from test_config import NON_INTEGER_TERMS, valid_dict
+from slasim import Ledger, SlaContract, replay
 from slasim.cli import EXIT_OK, cmd_run, setup_run
 from slasim.config import config_from_dict
 from slasim.errors import DigestMismatch, MalformedLog
@@ -193,6 +195,7 @@ def test_bad_batch_sample_rejected_on_replay(tmp_path, bad):
     path = tmp_path / "log.jsonl"
     ledger.export_txlog(path)
     _, entries = load_txlog(path)
+    entries = list(entries)
     entries.append(
         {
             "op": "record_traffic_batch",
@@ -280,6 +283,18 @@ def test_invalid_fields_rejected(entry):
         replay_entries(WORLD + [entry])
 
 
+@pytest.mark.parametrize(
+    "name, value", NON_INTEGER_TERMS, ids=[name for name, _ in NON_INTEGER_TERMS]
+)
+def test_non_integer_term_rejected(name, value):
+    terms = valid_dict()["scps"][0]["terms"]
+    terms[name] = value
+    entry = {"op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "mno",
+             "terms": terms}
+    with pytest.raises(MalformedLog, match=rf"entry 2 \(register_scp\): bad fields: .*{name}"):
+        replay_entries(WORLD + [entry])
+
+
 @pytest.mark.parametrize("line", [0, 1], ids=["header", "entry"])
 def test_non_utf8_log_rejected(tmp_path, line):
     path = tmp_path / "log.jsonl"
@@ -319,3 +334,53 @@ def test_garbage_file_rejected(tmp_path):
     path.write_text("not json at all\n")
     with pytest.raises(MalformedLog):
         replay_file(path)
+
+
+def test_invalid_json_on_last_line_is_reported_when_reached(tmp_path):
+    path = tmp_path / "log.jsonl"
+    busy_world().export_txlog(path)
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1][:-1]  # cut the closing brace
+    path.write_text("\n".join(lines) + "\n")
+    header, entries = load_txlog(path)  # only the header is read here
+    assert header["entries"] == len(lines) - 1
+    with pytest.raises(MalformedLog, match="invalid JSON in transaction log: "):
+        for _ in entries:
+            pass
+    with pytest.raises(MalformedLog, match="invalid JSON in transaction log: "):
+        replay_file(path)
+
+
+@pytest.mark.parametrize("fault", ["rejected-op", "invalid-json"])
+def test_log_rejected_partway_is_closed(tmp_path, monkeypatch, fault):
+    path = tmp_path / "log.jsonl"
+    busy_world().export_txlog(path)
+    lines = path.read_text().splitlines()
+    deposit = next(i for i, line in enumerate(lines) if '"op": "deposit"' in line)
+    if fault == "rejected-op":  # more than the owner holds
+        entry = json.loads(lines[deposit])
+        entry["amount"] = 10**9
+        lines[deposit] = json.dumps(entry, sort_keys=True)
+        reason = rf"entry {deposit - 1} \(deposit\): rejected on replay"
+    else:
+        lines[deposit] = "{"
+        reason = "invalid JSON in transaction log"
+    assert deposit < len(lines) - 2  # entries follow the bad one
+    path.write_text("\n".join(lines) + "\n")
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(replay, "open", tracking_open, raising=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(MalformedLog, match=reason) as excinfo:
+            replay_file(path)
+        # closed when replay_file raised, not when the garbage collector frees
+        # the frames that the held traceback keeps alive
+        assert len(opened) == 1 and opened[0].closed
+        del excinfo
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
