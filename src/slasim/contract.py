@@ -162,7 +162,7 @@ class SlaContract:
         self.owner = owner
         self.id = contract_id or f"sla-{len(ledger.contracts)}"
         self.account = ledger._new_account(0, f"{self.id}:escrow")
-        self.registry: Dict[str, ScpRecord] = {}
+        self.registry: Dict[str, ScpRecord] = {}  # in address order
         self.archived: List[ScpRecord] = []
         self.escrow = 0
         self.disabled = False
@@ -224,6 +224,12 @@ class SlaContract:
             # is archived with its credit/debt frozen, never merged
             self.archived.append(existing)
         self.registry[scp] = ScpRecord(address=scp, terms=terms)
+        if existing is None:
+            # a new address: keep the registry in address order, the order in
+            # which close_period and canonical_state walk it
+            records = sorted(self.registry.items())
+            self.registry.clear()
+            self.registry.update(records)
         self.ledger.append_event(EventKind.SCP_REGISTERED, scp)
         self.ledger._log(
             "register_scp", contract=self.id, caller=caller, scp=scp, terms=terms.to_dict()
@@ -321,8 +327,7 @@ class SlaContract:
         payouts: List[Tuple[ScpRecord, int]] = []
         removed: List[ScpRecord] = []
         owed = sum(max(rec.credit, 0) for rec in self.archived)
-        for addr in sorted(self.registry):
-            record = self.registry[addr]
+        for record in self.registry.values():
             if record.active:
                 payout = self._payout_for(record)
                 payouts.append((record, payout))
@@ -426,8 +431,7 @@ class SlaContract:
             "total_withdrawn": self.total_withdrawn,
             "total_recovered": self.total_recovered,
             "registry": {
-                addr: self.registry[addr].canonical_state()
-                for addr in sorted(self.registry)
+                addr: record.canonical_state() for addr, record in self.registry.items()
             },
             "archived": [rec.canonical_state() for rec in self.archived],
         }

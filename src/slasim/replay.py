@@ -80,7 +80,9 @@ def replay_entries(entries: Iterable[dict]) -> Ledger:
     """Apply logged transactions, in order, to a fresh ledger.
 
     ``create_contract`` constructs a contract; every other entry calls the
-    method it names with its remaining fields as keyword arguments.
+    method it names with its remaining fields as keyword arguments.  Each op
+    logs itself again; that copy is dropped as soon as the op returns, so the
+    returned ledger holds the rebuilt state and events and an empty ``txlog``.
     """
     ledger = Ledger()
     contracts: Dict[str, SlaContract] = {}
@@ -112,24 +114,33 @@ def replay_entries(entries: Iterable[dict]) -> Ledger:
             raise MalformedLog(f"entry {pos} ({op}): bad fields: {exc}") from exc
         except SimError as exc:
             raise MalformedLog(f"entry {pos} ({op}): rejected on replay: {exc}") from exc
+        finally:
+            ledger.txlog.clear()  # the entry the op logged again
     return ledger
 
 
 def replay_file(path) -> Tuple[str, str]:
     """Replay a log file; returns (recomputed digest, digest from header).
 
-    Entries are replayed as they are read, so no list of them is held.
-    Raises DigestMismatch when the two digests differ, then MalformedLog when
-    the header's entry count differs from the entries replayed.
+    Entries are replayed as they are read and counted as they pass, so
+    neither they nor their re-logged copies are held.  Raises DigestMismatch
+    when the two digests differ, then MalformedLog when the header's entry
+    count differs from the entries replayed.
     """
     header, entries = load_txlog(path)
+    replayed = 0
+
+    def counted() -> Iterator[dict]:
+        nonlocal replayed
+        for entry in entries:
+            replayed += 1
+            yield entry
+
     with closing(entries):  # closes the file if replay stops partway
         expected = header.get("digest")
         if not isinstance(expected, str):
             raise MalformedLog("header is missing its digest")
-        ledger = replay_entries(entries)
-    # every replayed entry is one transaction, and each logs exactly one entry
-    replayed = len(ledger.txlog)
+        ledger = replay_entries(counted())
     digest = ledger.state_digest()
     if digest != expected:
         raise DigestMismatch(f"replay digest {digest} != recorded {expected}")

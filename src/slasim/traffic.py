@@ -57,6 +57,9 @@ def generate_trace(config: ScenarioConfig) -> TrafficTrace:
             hi = model.nominal_kb * (vden + vnum) // vden
             key = stream_key(config.seed, scp_index, qci)
             streams.append((scp.label, qci, key, lo, hi, model.degradations))
+    # (label, qci) pairs are unique, so this orders the streams, and with them
+    # every period's slice, by (label, qci)
+    streams.sort()
     trace = TrafficTrace(seed=config.seed, num_periods=config.num_periods)
     for period in range(config.num_periods):
         slice_ = []
@@ -70,7 +73,6 @@ def generate_trace(config: ScenarioConfig) -> TrafficTrace:
                     mnum, mden = window.multiplier
                     value = value * mnum // mden
             slice_.append((label, qci, value))
-        slice_.sort(key=lambda s: (s[0], s[1]))
         trace.periods.append(slice_)
     return trace
 

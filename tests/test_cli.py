@@ -97,6 +97,19 @@ def test_replay_tampered_log(config_file, tmp_path):
     assert run_cli("replay", "--log", log) == EXIT_ABORT
 
 
+def test_replay_tampered_traffic_batch(config_file, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", config_file, "--out", out) == EXIT_OK
+    log = out / TXLOG_FILE
+    lines = log.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if '"op": "record_traffic_batch"' in line)
+    entry = json.loads(lines[i])
+    entry["samples"][0][2] += 1
+    lines[i] = json.dumps(entry, sort_keys=True)
+    log.write_text("\n".join(lines) + "\n")
+    assert run_cli("replay", "--log", log) == EXIT_ABORT
+
+
 def test_replay_garbage_log(tmp_path):
     log = tmp_path / "junk.jsonl"
     log.write_text("junk\n")

@@ -212,6 +212,25 @@ class TestClosePeriod:
         contract.close_period(owner)
         assert contract.registry[scp].served == {}
 
+    def test_payouts_in_address_order_whatever_the_registration_order(self, ledger):
+        owner = ledger.create_account(10_000, "mno")
+        contract = SlaContract(ledger, owner)
+        addresses = ["scp-c", "scp-a", "scp-d", "scp-b"]
+        for address in addresses:
+            contract.register_scp(owner, ledger.create_account(0, address), make_terms())
+        contract.deposit(owner, 10_000)
+        for _ in range(3):  # scp-d is removed, then re-registered in place
+            contract.throughput_breach(owner, "scp-d", 1, 1)
+            contract.close_period(owner)
+        contract.register_scp(owner, "scp-d", make_terms())
+        contract.close_period(owner)
+        assert list(contract.registry) == sorted(addresses)
+        payouts = ledger.query_events(kind=EventKind.PERIODIC_PAYOUT)
+        for period in range(4):
+            assert [e.subject for e in payouts if e.period == period] == (
+                ["scp-a", "scp-b", "scp-c"] + (["scp-d"] if period in (0, 1, 3) else [])
+            )
+
     def test_advances_ledger_period(self, world):
         ledger, contract, owner, _ = world
         contract.close_period(owner)

@@ -123,6 +123,16 @@ def test_every_logged_op_round_trips(tmp_path):
     assert replay_entries(entries).canonical_state() == ledger.canonical_state()
 
 
+def test_replay_keeps_no_log(tmp_path):
+    ledger = every_op_world()
+    path = tmp_path / "log.jsonl"
+    ledger.export_txlog(path)
+    _, entries = load_txlog(path)
+    replayed = replay_entries(entries)
+    assert replayed.txlog == []
+    assert replayed.canonical_state() == ledger.canonical_state()
+
+
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

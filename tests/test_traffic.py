@@ -72,6 +72,21 @@ class TestGenerateTrace:
         assert all(lo <= v <= hi for v in values)
         assert len(set(values)) > 1
 
+    def test_slices_in_label_and_qci_order(self):
+        terms = make_terms()  # QCIs 1 and 5
+        traffic = {5: TrafficModel(nominal_kb=500), 1: TrafficModel(nominal_kb=1000)}
+        config = ScenarioConfig(
+            seed=7,
+            num_periods=3,
+            escrow_deposit=1_000_000,
+            scps=[ScpScenario(label=label, terms=terms, traffic=traffic)
+                  for label in ("scp-c", "scp-a", "scp-b")],
+        )
+        trace = generate_trace(config)
+        keys = [(label, qci) for label in ("scp-a", "scp-b", "scp-c") for qci in (1, 5)]
+        for period in range(3):
+            assert [(label, qci) for label, qci, _ in trace.period_slice(period)] == keys
+
 
 class TestDetectBreaches:
     def test_exact_measure_is_not_a_breach(self):
