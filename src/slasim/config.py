@@ -90,6 +90,10 @@ class ScenarioConfig:
         _check_uint(self.seed, "seed", bits=64)
         _check_uint(self.num_periods, "num_periods")
         _check_uint(self.escrow_deposit, "escrow_deposit")
+        for i, profile in enumerate(self.qci_profiles):
+            for name in ("qci", "priority", "packet_delay_budget_ms"):
+                _check_uint(getattr(profile, name), f"qci_profiles[{i}].{name}")
+            _check_fraction(profile.packet_loss_rate, f"qci_profiles[{i}].packet_loss_rate")
         if not self.scps:
             raise InvalidConfig("scps: at least one provider is required")
         seen = set()
@@ -118,6 +122,8 @@ class ScenarioConfig:
                 _check_fraction(model.variability, f"{twhere}.variability")
                 for j, window in enumerate(model.degradations):
                     wwhere = f"{twhere}.degradations[{j}]"
+                    _check_uint(window.start, f"{wwhere}.start")
+                    _check_uint(window.end, f"{wwhere}.end")
                     if not (0 <= window.start <= window.end < self.num_periods):
                         raise InvalidConfig(
                             f"{wwhere}: window [{window.start}, {window.end}] outside "
@@ -184,6 +190,11 @@ def _check_fraction(value, name: str) -> None:
         raise InvalidConfig(f"{name}: {num}/{den} is not a rational in [0, 1]")
 
 
+def _pair(value):
+    """A JSON array as a tuple; any other value is left for ``_check_fraction``."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise InvalidConfig("top level: must be a JSON object")
@@ -201,7 +212,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                     qci=raw["qci"],
                     priority=raw["priority"],
                     packet_delay_budget_ms=raw["packet_delay_budget_ms"],
-                    packet_loss_rate=tuple(raw["packet_loss_rate"]),
+                    packet_loss_rate=_pair(raw["packet_loss_rate"]),
                 )
             )
         except (KeyError, TypeError) as exc:
@@ -237,14 +248,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 try:
                     degradations.append(
                         DegradationWindow(
-                            start=w["start"], end=w["end"], multiplier=tuple(w["multiplier"])
+                            start=w["start"], end=w["end"], multiplier=_pair(w["multiplier"])
                         )
                     )
                 except (KeyError, TypeError) as exc:
                     raise InvalidConfig(f"{wwhere}: {exc}") from exc
             traffic[qci] = TrafficModel(
                 nominal_kb=tm["nominal_kb"],
-                variability=tuple(tm.get("variability", (0, 1))),
+                variability=_pair(tm.get("variability", (0, 1))),
                 degradations=degradations,
             )
         scps.append(ScpScenario(label=raw["label"], terms=terms, traffic=traffic))

@@ -2,6 +2,8 @@
 
 Settlement model, all in exact integers:
 
+  * Served traffic is recorded by one op, ``record_traffic``, which takes a
+    period's ``(scp, qci, kb)`` samples and logs them as one txlog entry.
   * Per-traffic mode pays price_per_kb[qci] * kb served, accrued as credit at
     each period close; flat-rate mode pays a fixed amount per period.
   * Payouts use the withdrawal pattern: the contract only accrues credit and
@@ -14,8 +16,9 @@ Settlement model, all in exact integers:
   * The owner can disable the contract (fail-safe) and recover the escrow
     that is not owed to providers.
 
-Escrow is held in a dedicated ledger account owned by the contract, so fund
-conservation on the ledger is structural, not bookkeeping.
+Escrow is held in a dedicated ledger account owned by the contract, and
+``SlaContract.escrow`` is that account's balance, not a second counter, so
+fund conservation on the ledger is structural, not bookkeeping.
 """
 
 from __future__ import annotations
@@ -158,13 +161,14 @@ class SlaContract:
 
     def __init__(self, ledger: Ledger, owner: str, contract_id: Optional[str] = None):
         ledger.balance(owner)  # raises UnknownAddress for a bad owner
+        if contract_id is not None and not isinstance(contract_id, str):
+            raise ValueError(f"contract ids are strings, got {contract_id!r}")
         self.ledger = ledger
         self.owner = owner
         self.id = contract_id or f"sla-{len(ledger.contracts)}"
         self.account = ledger._new_account(0, f"{self.id}:escrow")
         self.registry: Dict[str, ScpRecord] = {}  # in address order
         self.archived: List[ScpRecord] = []
-        self.escrow = 0
         self.disabled = False
         self.total_deposits = 0
         self.total_withdrawn = 0
@@ -189,25 +193,6 @@ class SlaContract:
         if not record.active:
             raise InactiveScp(f"{scp!r} has been removed from the register")
         return record
-
-    def _add_served(self, samples: Tuple[Tuple[str, int, int], ...]) -> None:
-        """Add ``(scp, qci, kb)`` samples to ``served`` once every one is checked.
-
-        A bad sample raises before any counter changes, so a rejected call
-        changes nothing.  Each provider's record is looked up once per call.
-        """
-        records: Dict[str, ScpRecord] = {}
-        for scp, qci, kb in samples:
-            record = records.get(scp)
-            if record is None:
-                record = records[scp] = self._active_record(scp)
-            if qci not in record.terms.agreed_throughput:
-                raise UnknownQci(f"QCI {qci} is not part of {scp!r}'s agreement")
-            if kb < 0:
-                raise ValueError("kb must be >= 0")
-        for scp, qci, kb in samples:
-            served = records[scp].served
-            served[qci] = served.get(qci, 0) + kb
 
     # --- registration and funding -------------------------------------------
 
@@ -239,7 +224,6 @@ class SlaContract:
         self._require_owner(caller)
         self._require_enabled()
         self.ledger.transfer(caller, self.account, amount)
-        self.escrow += amount
         self.total_deposits += amount
         self.ledger.append_event(
             EventKind.DEPOSIT, caller, payload=(("amount", amount),)
@@ -248,36 +232,37 @@ class SlaContract:
 
     # --- per-period flow ------------------------------------------------------
 
-    def record_traffic(self, caller: str, scp: str, qci: int, kb: int) -> None:
-        self._require_owner(caller)
-        self._require_enabled()
-        self._add_served(((scp, qci, kb),))
-        self.ledger._log(
-            "record_traffic", contract=self.id, caller=caller, scp=scp, qci=qci, kb=kb
-        )
-
-    def record_traffic_batch(
-        self, caller: str, samples: Iterable[Tuple[str, int, int]]
-    ) -> None:
+    def record_traffic(self, caller: str, samples: Iterable[Tuple[str, int, int]]) -> None:
         """Record one period's ``(scp, qci, kb)`` samples as one txlog entry.
 
-        Checks every sample as ``record_traffic`` does before any ``served``
-        counter changes, so a bad batch fails atomically.  The entry logs the
-        samples as a tuple of tuples, which the caller cannot change
-        afterwards; samples passed as tuples are logged as they are.
+        Every sample is checked before any ``served`` counter changes, so a
+        bad call changes nothing; each provider's record is looked up once per
+        call.  The entry logs the samples as a tuple of tuples, which the
+        caller cannot change afterwards.
         """
         self._require_owner(caller)
         self._require_enabled()
         logged = tuple(map(tuple, samples))
-        self._add_served(logged)
-        self.ledger._log(
-            "record_traffic_batch", contract=self.id, caller=caller, samples=logged
-        )
+        records: Dict[str, ScpRecord] = {}
+        for scp, qci, kb in logged:
+            record = records.get(scp)
+            if record is None:
+                record = records[scp] = self._active_record(scp)
+            if type(qci) is not int or type(kb) is not int or kb < 0:
+                raise ValueError(f"qci and kb must be integers, kb >= 0, got {qci!r} and {kb!r}")
+            if qci not in record.terms.agreed_throughput:
+                raise UnknownQci(f"QCI {qci} is not part of {scp!r}'s agreement")
+        for scp, qci, kb in logged:
+            served = records[scp].served
+            served[qci] = served.get(qci, 0) + kb
+        self.ledger._log("record_traffic", contract=self.id, caller=caller, samples=logged)
 
     def throughput_breach(self, caller: str, scp: str, qci: int, deficit: int) -> None:
         self._require_owner(caller)
         self._require_enabled()
         record = self._active_record(scp)
+        if type(qci) is not int or type(deficit) is not int:
+            raise ValueError(f"qci and deficit must be integers, got {qci!r} and {deficit!r}")
         if qci not in record.terms.agreed_throughput:
             raise UnknownQci(f"QCI {qci} is not part of {scp!r}'s agreement")
         if deficit < 1:
@@ -373,7 +358,6 @@ class SlaContract:
                 f"escrow {self.escrow} cannot settle credit {amount}"
             )
         self.ledger.transfer(self.account, caller, amount)
-        self.escrow -= amount
         record.credit = 0
         self.total_withdrawn += amount
         self.ledger.append_event(
@@ -399,7 +383,6 @@ class SlaContract:
         if recoverable < 0:
             recoverable = 0
         self.ledger.transfer(self.account, caller, recoverable)
-        self.escrow -= recoverable
         self.total_recovered += recoverable
         self.ledger.append_event(
             EventKind.ESCROW_RECOVERED, caller, payload=(("amount", recoverable),)
@@ -408,6 +391,11 @@ class SlaContract:
         return recoverable
 
     # --- reads ----------------------------------------------------------------
+
+    @property
+    def escrow(self) -> int:
+        """The balance of the contract's ledger account; nothing else records it."""
+        return self.ledger.balances[self.account]
 
     def positive_credit_sum(self) -> int:
         """Outstanding obligations: positive credits of live and archived records."""

@@ -27,7 +27,7 @@ from .errors import DuplicateAddress, InsufficientFunds, UnknownAddress
 from .fileio import atomic_write
 
 TXLOG_FORMAT = "slasim-txlog"
-TXLOG_VERSION = 3  # 3: events enter the digest as a running SHA-256
+TXLOG_VERSION = 4  # 4: one record_traffic op, which takes a list of samples
 
 # Events folded into the digest per encoder call, so the JSON text held at once
 # stays small.  Records are encoded as they are (a NamedTuple is a JSON array
@@ -101,6 +101,8 @@ class Ledger:
         if label is None:
             label = f"acct-{self._anon_counter}"
             self._anon_counter += 1
+        elif not isinstance(label, str):
+            raise ValueError(f"account labels are strings, got {label!r}")
         if label in self.balances:
             raise DuplicateAddress(f"address {label!r} already exists")
         self.balances[label] = balance

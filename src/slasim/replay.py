@@ -26,7 +26,6 @@ CONTRACT_OPS = frozenset(
         "register_scp",
         "deposit",
         "record_traffic",
-        "record_traffic_batch",
         "throughput_breach",
         "close_period",
         "withdraw",

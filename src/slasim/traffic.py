@@ -120,7 +120,7 @@ def drive(
         period_slice = trace.period_slice(period)
         samples = [s for s in period_slice if contract.registry[s[0]].active]
         if samples:
-            contract.record_traffic_batch(owner, samples)
+            contract.record_traffic(owner, samples)
         for label, qci, deficit in detect_breaches(period_slice, terms_by_label):
             if contract.registry[label].active:
                 contract.throughput_breach(owner, label, qci, deficit)

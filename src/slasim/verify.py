@@ -156,9 +156,8 @@ def conservation_fuzz(num_ops: int, seed: int = 0) -> Optional[dict]:
             if action == "deposit":
                 contract.deposit(owner, rng.randrange(0, 10_000))
             elif action == "traffic":
-                contract.record_traffic(
-                    owner, rng.choice(scps), rng.choice([1, 2]), rng.randrange(0, 2_000)
-                )
+                sample = (rng.choice(scps), rng.choice([1, 2]), rng.randrange(0, 2_000))
+                contract.record_traffic(owner, [sample])
             elif action == "breach":
                 contract.throughput_breach(
                     owner, rng.choice(scps), rng.choice([1, 2]), rng.randrange(1, 800)

@@ -57,6 +57,16 @@ def test_wrongly_typed_config_field_is_invalid(tmp_path, capsys):
     assert "scps[0].traffic: must be an object" in capsys.readouterr().err
 
 
+def test_non_integer_window_start_is_invalid(tmp_path, capsys):
+    bad = json.loads(json.dumps(VALID))
+    bad["scps"][0]["traffic"]["1"]["degradations"][0]["start"] = "1"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert run_cli("run", "--config", path, "--out", tmp_path / "out") == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "scps[0].traffic.1.degradations[0].start: must be a non-negative integer" in err
+
+
 def test_seed_override_echoed(config_file, tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "--config", config_file, "--out", out, "--seed", 777) == EXIT_OK
@@ -102,7 +112,7 @@ def test_replay_tampered_traffic_batch(config_file, tmp_path):
     assert run_cli("run", "--config", config_file, "--out", out) == EXIT_OK
     log = out / TXLOG_FILE
     lines = log.read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if '"op": "record_traffic_batch"' in line)
+    i = next(i for i, line in enumerate(lines) if '"op": "record_traffic"' in line)
     entry = json.loads(lines[i])
     entry["samples"][0][2] += 1
     lines[i] = json.dumps(entry, sort_keys=True)

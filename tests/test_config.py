@@ -106,25 +106,45 @@ def test_invalid_json(tmp_path):
         load_config(path)
 
 
+WINDOW = r"scps\[0\]\.traffic\.1\.degradations\[0\]"
+PROFILE = r"qci_profiles\[0\]"
+
+
 @pytest.mark.parametrize(
-    "path, value",
+    "path, value, named",
     [
-        (("scps", 0, "traffic"), [1]),
-        (("scps", 0, "terms", "agreed_throughput"), [1]),
-        (("scps", 0, "terms", "price_per_kb"), "x"),
-        (("scps",), 5),
-        (("qci_profiles",), 5),
-        (("scps", 0, "traffic", "1", "degradations"), 5),
+        (("scps", 0, "traffic"), [1], "traffic"),
+        (("scps", 0, "terms", "agreed_throughput"), [1], "agreed_throughput"),
+        (("scps", 0, "terms", "price_per_kb"), "x", "price_per_kb"),
+        (("scps",), 5, "scps"),
+        (("qci_profiles",), 5, "qci_profiles"),
+        (("scps", 0, "traffic", "1", "degradations"), 5, "degradations"),
+        # the fields kept from inside those containers are checked too
+        (("scps", 0, "traffic", "1", "degradations", 0, "start"), "1", rf"{WINDOW}\.start:"),
+        (("scps", 0, "traffic", "1", "degradations", 0, "start"), 1.5, rf"{WINDOW}\.start:"),
+        (("scps", 0, "traffic", "1", "degradations", 0, "end"), True, rf"{WINDOW}\.end:"),
+        (("scps", 0, "traffic", "1", "degradations", 0, "multiplier"), 5,
+         rf"{WINDOW}\.multiplier:"),
+        (("scps", 0, "traffic", "1", "variability"), 5, r"traffic\.1\.variability:"),
+        (("qci_profiles", 0, "qci"), "x", rf"{PROFILE}\.qci:"),
+        (("qci_profiles", 0, "priority"), [], rf"{PROFILE}\.priority:"),
+        (("qci_profiles", 0, "packet_delay_budget_ms"), None,
+         rf"{PROFILE}\.packet_delay_budget_ms:"),
+        (("qci_profiles", 0, "packet_loss_rate"), "ab", rf"{PROFILE}\.packet_loss_rate:"),
+        (("qci_profiles", 0, "packet_loss_rate"), [2, 1], rf"{PROFILE}\.packet_loss_rate:"),
     ],
-    ids=["traffic", "agreed_throughput", "price_per_kb", "scps", "qci_profiles", "degradations"],
+    ids=["traffic", "agreed_throughput", "price_per_kb", "scps", "qci_profiles", "degradations",
+         "window-start-str", "window-start-float", "window-end-bool", "window-multiplier-int",
+         "variability-int", "profile-qci", "profile-priority", "profile-delay-budget",
+         "profile-loss-rate-str", "profile-loss-rate-above-one"],
 )
-def test_wrongly_typed_container_is_named(path, value):
+def test_wrongly_typed_container_is_named(path, value, named):
     data = valid_dict()
     parent = data
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
-    with pytest.raises(InvalidConfig, match=path[-1]):
+    with pytest.raises(InvalidConfig, match=named):
         config_from_dict(data)
 
 

@@ -82,13 +82,13 @@ class TestDeposit:
 class TestRecordTraffic:
     def test_zero_kb_succeeds(self, world):
         _, contract, owner, scp = world
-        contract.record_traffic(owner, scp, 1, 0)
+        contract.record_traffic(owner, [(scp, 1, 0)])
         assert contract.registry[scp].served == {1: 0}
 
     def test_accumulates_within_period(self, world):
         _, contract, owner, scp = world
-        contract.record_traffic(owner, scp, 1, 300)
-        contract.record_traffic(owner, scp, 1, 700)
+        contract.record_traffic(owner, [(scp, 1, 300)])
+        contract.record_traffic(owner, [(scp, 1, 700)])
         assert contract.registry[scp].served[1] == 1000
 
     def test_removed_scp_rejected(self, world):
@@ -97,17 +97,17 @@ class TestRecordTraffic:
             contract.throughput_breach(owner, scp, 1, 1)
             contract.close_period(owner)
         with pytest.raises(InactiveScp):
-            contract.record_traffic(owner, scp, 1, 100)
+            contract.record_traffic(owner, [(scp, 1, 100)])
 
     def test_unknown_scp(self, world):
         _, contract, owner, _ = world
         with pytest.raises(UnknownScp):
-            contract.record_traffic(owner, "ghost", 1, 100)
+            contract.record_traffic(owner, [("ghost", 1, 100)])
 
     def test_undeclared_qci(self, world):
         _, contract, owner, scp = world
         with pytest.raises(UnknownQci):
-            contract.record_traffic(owner, scp, 9, 100)
+            contract.record_traffic(owner, [(scp, 9, 100)])
 
 
 class TestRecordTrafficBatch:
@@ -120,7 +120,7 @@ class TestRecordTrafficBatch:
         for _ in range(3):
             contract.throughput_breach(owner, other, 1, 1)
             contract.close_period(owner)
-        contract.record_traffic(owner, scp, 1, 10)
+        contract.record_traffic(owner, [(scp, 1, 10)])
         return ledger, contract, owner, scp
 
     @pytest.mark.parametrize(
@@ -130,6 +130,11 @@ class TestRecordTrafficBatch:
             (("scp-2", 1, 100), InactiveScp),
             (("ghost", 1, 100), UnknownScp),
             (("scp-1", 5, -1), ValueError),
+            # settlement is integer arithmetic; True == 1 passes a QCI lookup
+            (("scp-1", 1, 1.5), ValueError),
+            (("scp-1", True, 3), ValueError),
+            (("scp-1", 1, True), ValueError),
+            (("scp-1", 1.0, 3), ValueError),
         ],
     )
     def test_one_bad_sample_changes_nothing(self, two_scps, bad, error):
@@ -137,17 +142,17 @@ class TestRecordTrafficBatch:
         served_before = {addr: dict(rec.served) for addr, rec in contract.registry.items()}
         logged_before = len(ledger.txlog)
         with pytest.raises(error):
-            contract.record_traffic_batch(owner, [(scp, 1, 100), (scp, 5, 50), bad])
+            contract.record_traffic(owner, [(scp, 1, 100), (scp, 5, 50), bad])
         assert {addr: rec.served for addr, rec in contract.registry.items()} == served_before
         assert len(ledger.txlog) == logged_before
 
     def test_owner_only_and_not_after_failsafe(self, world):
         _, contract, owner, scp = world
         with pytest.raises(NotOwner):
-            contract.record_traffic_batch(scp, [(scp, 1, 100)])
+            contract.record_traffic(scp, [(scp, 1, 100)])
         contract.failsafe_disable(owner)
         with pytest.raises(ContractDisabled):
-            contract.record_traffic_batch(owner, [(scp, 1, 100)])
+            contract.record_traffic(owner, [(scp, 1, 100)])
 
     def test_same_state_as_samples_one_by_one(self):
         samples = [("scp-1", 1, 300), ("scp-1", 5, 40), ("scp-2", 1, 7), ("scp-1", 1, 700)]
@@ -160,10 +165,10 @@ class TestRecordTrafficBatch:
                 contract.register_scp(owner, ledger.create_account(0, label), make_terms())
             contract.deposit(owner, 100_000)
             if batched:
-                contract.record_traffic_batch(owner, samples)
+                contract.record_traffic(owner, samples)
             else:
                 for sample in samples:
-                    contract.record_traffic(owner, *sample)
+                    contract.record_traffic(owner, [sample])
             mid_period = ledger.canonical_state()
             contract.close_period(owner)
             states.append((mid_period, ledger.canonical_state()))
@@ -176,7 +181,7 @@ class TestRecordTrafficBatch:
     def test_log_keeps_no_reference_to_caller_lists(self, world):
         ledger, contract, owner, scp = world
         samples = [[scp, 1, 100]]
-        contract.record_traffic_batch(owner, samples)
+        contract.record_traffic(owner, samples)
         samples[0][2] = 999
         samples.append([scp, 5, 1])
         assert ledger.txlog[-1]["samples"] == ((scp, 1, 100),)
@@ -192,7 +197,7 @@ class TestClosePeriod:
 
     def test_per_traffic_payout(self, world):
         _, contract, owner, scp = world
-        contract.record_traffic(owner, scp, 1, 1000)  # price 2/kb
+        contract.record_traffic(owner, [(scp, 1, 1000)])  # price 2/kb
         contract.close_period(owner)
         assert contract.get_scp_status(scp)[1] == 2000
 
@@ -202,13 +207,13 @@ class TestClosePeriod:
         scp = ledger.create_account(0, "scp-f")
         contract.register_scp(owner, scp, make_flat_terms(rate=500))
         contract.deposit(owner, 10_000)
-        contract.record_traffic(owner, scp, 1, 123_456)
+        contract.record_traffic(owner, [(scp, 1, 123_456)])
         contract.close_period(owner)
         assert contract.get_scp_status(scp)[1] == 500
 
     def test_accumulators_cleared(self, world):
         _, contract, owner, scp = world
-        contract.record_traffic(owner, scp, 1, 100)
+        contract.record_traffic(owner, [(scp, 1, 100)])
         contract.close_period(owner)
         assert contract.registry[scp].served == {}
 
@@ -242,7 +247,7 @@ class TestClosePeriod:
         scp = ledger.create_account(0, "scp-1")
         contract.register_scp(owner, scp, make_terms())
         contract.deposit(owner, 100)
-        contract.record_traffic(owner, scp, 1, 1000)  # would accrue 2000
+        contract.record_traffic(owner, [(scp, 1, 1000)])  # would accrue 2000
         with pytest.raises(InsufficientEscrowForAccrual):
             contract.close_period(owner)
         assert contract.get_scp_status(scp) == (True, 0, 0)
@@ -263,15 +268,15 @@ class TestClosePeriod:
         contract.register_scp(owner, b, make_terms(strike_limit=1))
         contract.register_scp(owner, c, make_terms())
         contract.deposit(owner, 3000)
-        contract.record_traffic(owner, a, 1, 1000)  # price 2/kb: pays 2000
-        contract.record_traffic(owner, b, 1, 500)  # pays 1000
+        contract.record_traffic(owner, [(a, 1, 1000)])  # price 2/kb: pays 2000
+        contract.record_traffic(owner, [(b, 1, 500)])  # pays 1000
         contract.close_period(owner)
         for scp in (a, b):  # penalty 5/kb: debit 50, removed at the first strike
             contract.throughput_breach(owner, scp, 1, 10)
         contract.register_scp(owner, b, make_terms())  # archives b's credit 950
-        contract.record_traffic(owner, b, 1, 100)  # the fresh record earns 200
+        contract.record_traffic(owner, [(b, 1, 100)])  # the fresh record earns 200
         contract.throughput_breach(owner, c, 1, 100)  # debit 500
-        contract.record_traffic(owner, c, 1, 50)  # pays 100: -400 after close
+        contract.record_traffic(owner, [(c, 1, 50)])  # pays 100: -400 after close
         owed = 1950 + 950 + 200  # removed a, archived b, active b; c counts 0
         contract.deposit(owner, owed - 1 - contract.escrow)
         before = (
@@ -321,6 +326,20 @@ class TestThroughputBreach:
         _, contract, owner, scp = world
         with pytest.raises(ZeroDeficit):
             contract.throughput_breach(owner, scp, 1, 0)
+
+    @pytest.mark.parametrize(
+        "qci, deficit",
+        [(1, 2.5), (1, True), (1, "3"), (True, 10)],
+        ids=["float-deficit", "bool-deficit", "str-deficit", "bool-qci"],
+    )
+    def test_non_integer_breach_rejected(self, world, qci, deficit):
+        ledger, contract, owner, scp = world
+        before = ledger.canonical_state()
+        logged = len(ledger.txlog)
+        with pytest.raises(ValueError, match="must be integers"):
+            contract.throughput_breach(owner, scp, qci, deficit)
+        assert ledger.canonical_state() == before
+        assert len(ledger.txlog) == logged
 
     def test_one_strike_per_period(self, world):
         _, contract, owner, scp = world
@@ -378,7 +397,7 @@ class TestWithdraw:
 
     def test_full_settlement(self, world):
         ledger, contract, owner, scp = world
-        contract.record_traffic(owner, scp, 1, 1000)
+        contract.record_traffic(owner, [(scp, 1, 1000)])
         contract.close_period(owner)
         escrow_before = contract.escrow
         assert contract.withdraw(scp) == 2000
@@ -388,7 +407,7 @@ class TestWithdraw:
 
     def test_second_withdraw_moves_nothing(self, world):
         ledger, contract, owner, scp = world
-        contract.record_traffic(owner, scp, 1, 1000)
+        contract.record_traffic(owner, [(scp, 1, 1000)])
         contract.close_period(owner)
         contract.withdraw(scp)
         with pytest.raises(NothingToWithdraw):
@@ -401,7 +420,7 @@ class TestWithdraw:
         contract.close_period(owner)
         with pytest.raises(NothingToWithdraw):
             contract.withdraw(scp)
-        contract.record_traffic(owner, scp, 1, 100)  # payout 200
+        contract.record_traffic(owner, [(scp, 1, 100)])  # payout 200
         contract.close_period(owner)
         assert contract.get_scp_status(scp)[1] == 150  # 200 - 50
         assert contract.withdraw(scp) == 150
@@ -415,7 +434,7 @@ class TestWithdraw:
         scp = ledger.create_account(0, "scp-1")
         contract.register_scp(owner, scp, make_terms())
         contract.deposit(owner, 100_000)
-        contract.record_traffic(owner, scp, 1, kb)
+        contract.record_traffic(owner, [(scp, 1, kb)])
         contract.close_period(owner)
         credit = contract.get_scp_status(scp)[1]
         paid = 0
@@ -433,7 +452,7 @@ class TestFailSafe:
         _, contract, owner, scp = world
         contract.failsafe_disable(owner)
         with pytest.raises(ContractDisabled):
-            contract.record_traffic(owner, scp, 1, 100)
+            contract.record_traffic(owner, [(scp, 1, 100)])
         with pytest.raises(ContractDisabled):
             contract.deposit(owner, 1)
         with pytest.raises(ContractDisabled):
@@ -451,7 +470,7 @@ class TestFailSafe:
 
     def test_withdraw_survives_disable(self, world):
         ledger, contract, owner, scp = world
-        contract.record_traffic(owner, scp, 1, 1000)
+        contract.record_traffic(owner, [(scp, 1, 1000)])
         contract.close_period(owner)
         contract.failsafe_disable(owner)
         assert contract.withdraw(scp) == 2000
@@ -469,7 +488,7 @@ class TestFailSafe:
         scp = ledger.create_account(0, "scp-1")
         contract.register_scp(owner, scp, make_terms(price_per_kb={1: 3, 5: 1}))
         contract.deposit(owner, 1000)
-        contract.record_traffic(owner, scp, 1, 100)  # accrues 300
+        contract.record_traffic(owner, [(scp, 1, 100)])  # accrues 300
         contract.close_period(owner)
         contract.failsafe_disable(owner)
         assert contract.recover_escrow(owner) == 700
@@ -503,7 +522,7 @@ class TestEventReconstruction:
         for period in range(6):
             for i, scp in enumerate(scps):
                 if contract.registry[scp].active:
-                    contract.record_traffic(owner, scp, 1, 100 * (i + 1))
+                    contract.record_traffic(owner, [(scp, 1, 100 * (i + 1))])
             if period % 2 == 0 and contract.registry[scps[0]].active:
                 contract.throughput_breach(owner, scps[0], 1, 20)
             if contract.registry[scps[1]].active:
@@ -514,7 +533,7 @@ class TestEventReconstruction:
 
     def test_reregistered_provider_matches_registry(self, world):
         ledger, contract, owner, scp = world
-        contract.record_traffic(owner, scp, 1, 100)
+        contract.record_traffic(owner, [(scp, 1, 100)])
         contract.close_period(owner)
         for _ in range(3):
             contract.throughput_breach(owner, scp, 1, 10)

@@ -25,7 +25,7 @@ def busy_world():
     contract.register_scp(owner, scp, make_terms())
     contract.deposit(owner, 80_000)
     for period in range(4):
-        contract.record_traffic(owner, scp, 1, 500 + period)
+        contract.record_traffic(owner, [(scp, 1, 500 + period)])
         if period == 2:
             contract.throughput_breach(owner, scp, 1, 40)
         contract.close_period(owner)
@@ -65,27 +65,12 @@ def test_tampered_amount_is_detected(tmp_path):
     for i, line in enumerate(lines[1:], start=1):
         entry = json.loads(line)
         if entry["op"] == "record_traffic":
-            entry["kb"] += 1
+            entry["samples"][0][2] += 1
             lines[i] = json.dumps(entry, sort_keys=True)
             break
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DigestMismatch):
         replay_file(path)
-
-
-LOGGED_OPS = {
-    "create_account",
-    "create_contract",
-    "register_scp",
-    "deposit",
-    "record_traffic",
-    "record_traffic_batch",
-    "throughput_breach",
-    "close_period",
-    "withdraw",
-    "failsafe_disable",
-    "recover_escrow",
-}
 
 
 def every_op_world():
@@ -99,12 +84,12 @@ def every_op_world():
     contract.register_scp(owner, other, make_flat_terms())
     contract.deposit(owner, 80_000)
     for _ in range(3):  # scp breaches three periods running and is removed
-        contract.record_traffic(owner, scp, 1, 500)
-        contract.record_traffic_batch(owner, [(scp, 5, 200), (other, 1, 300)])
+        contract.record_traffic(owner, [(scp, 1, 500)])
+        contract.record_traffic(owner, [(scp, 5, 200), (other, 1, 300)])
         contract.throughput_breach(owner, scp, 1, 40)
         contract.close_period(owner)
     contract.register_scp(owner, scp, make_terms(strike_limit=2))  # archives the old record
-    contract.record_traffic(owner, scp, 1, 100)
+    contract.record_traffic(owner, [(scp, 1, 100)])
     contract.close_period(owner)
     contract.withdraw(other)
     contract.failsafe_disable(owner)
@@ -115,7 +100,9 @@ def every_op_world():
 
 def test_every_logged_op_round_trips(tmp_path):
     ledger = every_op_world()
-    assert {entry["op"] for entry in ledger.txlog} == LOGGED_OPS
+    # every op replay dispatches is logged, and every logged op is dispatched
+    logged = {entry["op"] for entry in ledger.txlog}
+    assert logged == replay.CONTRACT_OPS | {"create_contract", "create_account"}
     assert ledger.contracts["sla-0"].archived
     path = tmp_path / "log.jsonl"
     ledger.export_txlog(path)
@@ -143,11 +130,11 @@ def test_wire_format_is_pinned(tmp_path):
     config.write_text(json.dumps(valid_dict()))
     out = tmp_path / "out"
     assert cmd_run(str(config), str(out)) == EXIT_OK
-    assert sha256_of(out / "txlog.jsonl") == "20d243d7ba6e1ed3fc0fc853d3e925a5749ccf722cf58952fbdff0bea70345f8"
+    assert sha256_of(out / "txlog.jsonl") == "7afa456daaa6aa7c675d58f7e993bc6370df314bca5b97644478626b8fdd8565"
     assert sha256_of(out / "report.csv") == "31d8e3dfffd1fefa528ec5d864f2387b1fff5205e94ef8b4495db6a27f9143d1"
     assert json.loads((out / "report.json").read_text())["digest"] == "b3f0d5456e375c4d4fe52ed25a10f3c3ed5cce489dc00ca9084dca3d09e2ed65"
     every_op_world().export_txlog(tmp_path / "every_op.jsonl")
-    assert sha256_of(tmp_path / "every_op.jsonl") == "6bfacbccbd7ca22d41bf2994df717f5480ae4863d86b120137bf0985bf5f2d87"
+    assert sha256_of(tmp_path / "every_op.jsonl") == "2d32424783aef5d32ac1b4a11f75bf3cb05ae6aaf7095a1904fc50a07c666382"
 
 
 def driven_log(tmp_path):
@@ -164,9 +151,8 @@ def test_drive_logs_one_traffic_entry_per_period(tmp_path):
     path, report = driven_log(tmp_path)
     _, entries = load_txlog(path)
     ops = [entry["op"] for entry in entries]
-    assert "record_traffic" not in ops
-    # one batch per period while the provider is active, the removal period included
-    assert ops.count("record_traffic_batch") == report.rows["scp-1"].removal_period + 1
+    # one entry per period while the provider is active, the removal period included
+    assert ops.count("record_traffic") == report.rows["scp-1"].removal_period + 1
     assert report.rows["scp-1"].removal_period == 3
 
 
@@ -175,12 +161,12 @@ def test_tampered_batch_kb_is_detected(tmp_path):
     lines = path.read_text().splitlines()
     for i, line in enumerate(lines[1:], start=1):
         entry = json.loads(line)
-        if entry["op"] == "record_traffic_batch":
+        if entry["op"] == "record_traffic":
             entry["samples"][0][2] += 1
             lines[i] = json.dumps(entry, sort_keys=True)
             break
     else:
-        pytest.fail("the driven log has no record_traffic_batch entry")
+        pytest.fail("the driven log has no record_traffic entry")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DigestMismatch):
         replay_file(path)
@@ -199,7 +185,7 @@ def test_bad_batch_sample_rejected_on_replay(tmp_path, bad):
         contract.register_scp(owner, ledger.create_account(0, label), make_terms())
     contract.deposit(owner, 80_000)
     for _ in range(3):  # scp-2 breaches three periods running and is removed
-        contract.record_traffic_batch(owner, [("scp-1", 1, 500), ("scp-2", 1, 500)])
+        contract.record_traffic(owner, [("scp-1", 1, 500), ("scp-2", 1, 500)])
         contract.throughput_breach(owner, "scp-2", 1, 40)
         contract.close_period(owner)
     path = tmp_path / "log.jsonl"
@@ -208,19 +194,19 @@ def test_bad_batch_sample_rejected_on_replay(tmp_path, bad):
     entries = list(entries)
     entries.append(
         {
-            "op": "record_traffic_batch",
+            "op": "record_traffic",
             "contract": contract.id,
             "caller": owner,
             "samples": [["scp-1", 1, 100], bad],
         }
     )
     with pytest.raises(
-        MalformedLog, match=r"\(record_traffic_batch\): (rejected on replay|bad fields)"
+        MalformedLog, match=r"\(record_traffic\): (rejected on replay|bad fields)"
     ):
         replay_entries(entries)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_log_version_rejected(tmp_path, version):
     path = tmp_path / "log.jsonl"
     busy_world().export_txlog(path)
@@ -229,7 +215,7 @@ def test_old_log_version_rejected(tmp_path, version):
     header["version"] = version
     lines[0] = json.dumps(header, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
-    expected = rf"unsupported log version {version} \(expected 3\)"
+    expected = rf"unsupported log version {version} \(expected 4\)"
     with pytest.raises(MalformedLog, match=expected):
         replay_file(path)
 
@@ -278,15 +264,18 @@ WORLD = [
     [
         {"op": "deposit", "contract": "sla-0"},
         {"op": "create_account", "label": "a", "balance": -1},
+        # the digest sorts labels and contract ids; 5 does not sort beside a string
+        {"op": "create_account", "label": 5, "balance": 0},
         {"op": "deposit", "contract": "sla-0", "caller": "mno", "amount": 1, "memo": "x"},
         {"op": "create_contract", "owner": "mno"},
+        {"op": "create_contract", "contract": 5, "owner": "mno"},
         {
             "op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "mno",
             "terms": {"payment_mode": "flat_rate", "agreed_throughput": [1]},
         },
     ],
-    ids=["missing-field", "negative-balance", "extra-field", "contract-missing-id",
-         "terms-not-object"],
+    ids=["missing-field", "negative-balance", "non-string-label", "extra-field",
+         "contract-missing-id", "non-string-contract-id", "terms-not-object"],
 )
 def test_invalid_fields_rejected(entry):
     with pytest.raises(MalformedLog, match=rf"entry 2 \({entry['op']}\): bad fields"):
@@ -303,6 +292,28 @@ def test_non_integer_term_rejected(name, value):
              "terms": terms}
     with pytest.raises(MalformedLog, match=rf"entry 2 \(register_scp\): bad fields: .*{name}"):
         replay_entries(WORLD + [entry])
+
+
+SCP_WORLD = WORLD + [
+    {"op": "create_account", "label": "scp-1", "balance": 0},
+    {"op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "scp-1",
+     "terms": valid_dict()["scps"][0]["terms"]},
+]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"op": "record_traffic", "samples": [["scp-1", 1, 1.5]]},
+        {"op": "record_traffic", "samples": [["scp-1", True, 3]]},
+        {"op": "throughput_breach", "scp": "scp-1", "qci": 1, "deficit": 2.5},
+    ],
+    ids=["float-kb", "bool-qci", "float-deficit"],
+)
+def test_non_integer_traffic_rejected(entry):
+    entry = {"contract": "sla-0", "caller": "mno", **entry}
+    with pytest.raises(MalformedLog, match=rf"entry 4 \({entry['op']}\): bad fields: .*integers"):
+        replay_entries(SCP_WORLD + [entry])
 
 
 @pytest.mark.parametrize("line", [0, 1], ids=["header", "entry"])
