@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .config import ScenarioConfig, load_config
 from .contract import SlaContract
 from .errors import ContractError, DigestMismatch, InvalidConfig, MalformedLog
-from .ledger import Ledger
+from .ledger import Ledger, TxlogSpool
 from .replay import replay_file
 from .traffic import drive
 from .verify import check_strike_equivalence, conservation_fuzz
@@ -43,9 +43,12 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def setup_run(config: ScenarioConfig):
-    """Fresh ledger + funded contract with every scenario SCP registered."""
-    ledger = Ledger()
+def setup_run(config: ScenarioConfig, txlog: Optional[TxlogSpool] = None):
+    """Fresh ledger + funded contract with every scenario SCP registered.
+
+    The ledger logs to ``txlog`` when given, else to a list.
+    """
+    ledger = Ledger(txlog)
     owner = ledger.create_account(config.escrow_deposit, "mno")
     contract = SlaContract(ledger, owner)
     for scp in config.scps:
@@ -70,16 +73,18 @@ def cmd_run(config_path: str, out_dir: str, seed: Optional[int] = None) -> int:
     except OSError as exc:
         _diag(f"cannot create output directory: {exc}")
         return EXIT_ABORT
-    ledger, contract = setup_run(config)
+    # the log is spooled to disk as it is logged, so a full disk can stop the
+    # run at any step, not only when the outputs are written
     try:
-        report = drive(ledger, contract, config)
+        with TxlogSpool(out) as txlog:
+            ledger, contract = setup_run(config, txlog)
+            report = drive(ledger, contract, config)
+            report.write_json(out / REPORT_JSON)
+            report.write_csv(out / REPORT_CSV)
+            ledger.export_txlog(out / TXLOG_FILE, digest=report.digest)
     except ContractError as exc:
         _diag(f"run aborted: {exc}")
         return EXIT_ABORT
-    try:
-        report.write_json(out / REPORT_JSON)
-        report.write_csv(out / REPORT_CSV)
-        ledger.export_txlog(out / TXLOG_FILE, digest=report.digest)
     except OSError as exc:
         _diag(f"cannot write outputs: {exc}")
         return EXIT_ABORT

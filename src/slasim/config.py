@@ -43,7 +43,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .contract import SlaTerms
+from .contract import SlaTerms, qci_from_key
 from .errors import InvalidConfig
 
 Rational = Tuple[int, int]
@@ -118,7 +118,9 @@ class ScenarioConfig:
                 twhere = f"{where}.traffic.{qci}"
                 if qci not in scp.terms.agreed_throughput:
                     raise InvalidConfig(f"{twhere}: QCI not declared in terms")
-                _check_uint(model.nominal_kb, f"{twhere}.nominal_kb")
+                # a sample is at most twice nominal_kb and the trace keeps
+                # samples in signed 64-bit slots
+                _check_uint(model.nominal_kb, f"{twhere}.nominal_kb", bits=62)
                 _check_fraction(model.variability, f"{twhere}.variability")
                 for j, window in enumerate(model.degradations):
                     wwhere = f"{twhere}.degradations[{j}]"
@@ -235,9 +237,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         for qci_key, tm in raw["traffic"].items():
             twhere = f"{where}.traffic.{qci_key}"
             try:
-                qci = int(qci_key)
-            except ValueError:
-                raise InvalidConfig(f"{twhere}: QCI key must be an integer") from None
+                qci = qci_from_key(qci_key, twhere)
+            except ValueError as exc:
+                raise InvalidConfig(str(exc)) from None
             if not isinstance(tm, dict) or "nominal_kb" not in tm:
                 raise InvalidConfig(f"{twhere}.nominal_kb: missing required field")
             if not isinstance(tm.get("degradations", []), list):

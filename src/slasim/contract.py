@@ -51,11 +51,26 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def qci_from_key(key: str, name: str) -> int:
+    """The QCI number a per-QCI JSON object key names.
+
+    Only the canonical decimal form is read ("1", never "01", " 1", "+1" or
+    "1_0"), so two keys of one object cannot name the same QCI.
+    """
+    try:
+        qci = int(key)
+    except (TypeError, ValueError):
+        qci = None
+    if qci is None or str(qci) != key:
+        raise ValueError(f"{name}: QCI key {key!r} is not a canonical integer")
+    return qci
+
+
 def _qci_map(value: object, name: str) -> Dict[int, int]:
     """A per-QCI JSON object with its string keys read as QCI numbers."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a JSON object, got {value!r}")
-    return {int(q): v for q, v in value.items()}
+    return {qci_from_key(q, name): v for q, v in value.items()}
 
 
 @dataclass

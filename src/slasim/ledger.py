@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
+import tempfile
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import DuplicateAddress, InsufficientFunds, UnknownAddress
 from .fileio import atomic_write
@@ -68,19 +70,59 @@ class EventRecord(NamedTuple):
         raise KeyError(name)
 
 
+class TxlogSpool:
+    """A transaction log that goes to disk as it is logged.
+
+    ``append`` encodes each entry as the JSON line ``export_txlog`` would
+    write and adds it to an unnamed temporary file in ``directory``, so a run
+    holds neither the entries nor the objects they refer to.  The file has no
+    name, so nothing is left behind however the run ends; ``close`` (or
+    leaving the ``with`` block) frees it.
+    """
+
+    def __init__(self, directory) -> None:
+        self._file = tempfile.TemporaryFile("w+", encoding="utf-8", dir=directory)
+        self._entries = 0
+
+    def append(self, entry: dict) -> None:
+        self._file.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._entries += 1
+
+    def __len__(self) -> int:
+        return self._entries
+
+    def copy_to(self, fh) -> None:
+        """Write every line appended so far to the text file ``fh``."""
+        self._file.seek(0)
+        shutil.copyfileobj(self._file, fh)
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "TxlogSpool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 def _check_amount(amount: int) -> None:
     if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
         raise ValueError(f"amounts are non-negative integers, got {amount!r}")
 
 
 class Ledger:
-    """Accounts, events and the period clock for one simulation run."""
+    """Accounts, events and the period clock for one simulation run.
 
-    def __init__(self) -> None:
+    ``txlog`` receives every logged entry: a list by default, or a
+    ``TxlogSpool`` that writes the entries to disk as they are logged.
+    """
+
+    def __init__(self, txlog: Union[List[dict], TxlogSpool, None] = None) -> None:
         self.balances: Dict[str, int] = {}
         self.events: List[EventRecord] = []
         self.current_period: int = 0
-        self.txlog: List[dict] = []
+        self.txlog = [] if txlog is None else txlog
         # contracts attach themselves so the digest covers their state too
         self.contracts: Dict[str, object] = {}
         self._anon_counter = 0
@@ -229,7 +271,8 @@ class Ledger:
         """Write the tx log as JSON lines; header carries the final digest.
 
         ``digest`` lets callers reuse an already computed digest of the
-        current state instead of recomputing it.
+        current state instead of recomputing it.  A spooled log's entries are
+        already encoded, so they are copied behind the header as they are.
         """
         if digest is None:
             digest = self.state_digest()
@@ -241,7 +284,10 @@ class Ledger:
         }
         with atomic_write(path) as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
-            fh.writelines(
-                json.dumps(entry, sort_keys=True) + "\n" for entry in self.txlog
-            )
+            if isinstance(self.txlog, TxlogSpool):
+                self.txlog.copy_to(fh)
+            else:
+                fh.writelines(
+                    json.dumps(entry, sort_keys=True) + "\n" for entry in self.txlog
+                )
         return digest

@@ -82,6 +82,8 @@ def test_underfunded_scenario_aborts(tmp_path, capsys):
     path.write_text(json.dumps(broke))
     assert run_cli("run", "--config", path, "--out", tmp_path / "out") == EXIT_ABORT
     assert "escrow" in capsys.readouterr().err
+    # the spooled log has no name, so the aborted run leaves nothing behind
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_replay_unmodified_log(config_file, tmp_path, capsys):
@@ -192,10 +194,28 @@ def test_failed_write_keeps_existing_output(config_file, tmp_path, monkeypatch, 
     module, name, encoder = {
         REPORT_JSON: (report, "json", SimpleNamespace(dump=_json_dump_failing_partway)),
         REPORT_CSV: (report, "csv", SimpleNamespace(writer=_csv_writer_failing_partway)),
-        # the run's state digest and the log header encode; the first entry fails
-        TXLOG_FILE: (ledger, "json", SimpleNamespace(dumps=_json_dumps_failing_after(2))),
+        # the log is spooled as it is logged: setup_run logs five entries and
+        # the sixth, the first period's traffic, fails inside drive
+        TXLOG_FILE: (ledger, "json", SimpleNamespace(dumps=_json_dumps_failing_after(5))),
     }[target]
     monkeypatch.setattr(module, name, encoder)
     assert run_cli("run", "--config", config_file, "--out", out) == EXIT_ABORT
     assert "cannot write outputs" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def _copy_failing_partway(src, dst):
+    dst.write(src.read(100))
+    raise _disk_full()
+
+
+def test_failed_txlog_copy_keeps_existing_output(config_file, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", config_file, "--out", out) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    # the spooled entries are copied behind the header; the disk fills up partway
+    monkeypatch.setattr(ledger, "shutil", SimpleNamespace(copyfileobj=_copy_failing_partway))
+    assert run_cli("run", "--config", config_file, "--out", out) == EXIT_ABORT
+    assert "cannot write outputs" in capsys.readouterr().err
+    # byte-identical, and neither the temporary txlog nor the spool is left
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before

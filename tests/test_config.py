@@ -1,6 +1,7 @@
 """Scenario file loading and validation diagnostics."""
 
 import json
+import re
 
 import pytest
 
@@ -106,6 +107,9 @@ def test_invalid_json(tmp_path):
         load_config(path)
 
 
+# keys that int() reads as a QCI but that are not its canonical decimal form
+NON_CANONICAL_QCI_KEYS = ["01", " 1", "1_0", "+1"]
+
 WINDOW = r"scps\[0\]\.traffic\.1\.degradations\[0\]"
 PROFILE = r"qci_profiles\[0\]"
 
@@ -132,11 +136,28 @@ PROFILE = r"qci_profiles\[0\]"
          rf"{PROFILE}\.packet_delay_budget_ms:"),
         (("qci_profiles", 0, "packet_loss_rate"), "ab", rf"{PROFILE}\.packet_loss_rate:"),
         (("qci_profiles", 0, "packet_loss_rate"), [2, 1], rf"{PROFILE}\.packet_loss_rate:"),
+        # the trace keeps samples, at most twice nominal_kb, in signed 64-bit slots
+        (("scps", 0, "traffic", "1", "nominal_kb"), 2**62,
+         r"scps\[0\]\.traffic\.1\.nominal_kb: does not fit in 62 bits"),
+    ]
+    + [
+        # a second key naming QCI 1 would silently replace the first one's value
+        (("scps", 0, "terms", name), {"1": 1000, key: 5},
+         rf"terms: {name}: QCI key {re.escape(repr(key))}")
+        for name in ("agreed_throughput", "price_per_kb")
+        for key in NON_CANONICAL_QCI_KEYS
+    ]
+    + [
+        (("scps", 0, "traffic"), {key: {"nominal_kb": 1000}},
+         rf"traffic\.{re.escape(key)}: QCI key {re.escape(repr(key))}")
+        for key in NON_CANONICAL_QCI_KEYS
     ],
     ids=["traffic", "agreed_throughput", "price_per_kb", "scps", "qci_profiles", "degradations",
          "window-start-str", "window-start-float", "window-end-bool", "window-multiplier-int",
          "variability-int", "profile-qci", "profile-priority", "profile-delay-budget",
-         "profile-loss-rate-str", "profile-loss-rate-above-one"],
+         "profile-loss-rate-str", "profile-loss-rate-above-one", "nominal-kb-2**62"]
+    + [f"{name}-key-{key!r}" for name in ("agreed_throughput", "price_per_kb", "traffic")
+       for key in NON_CANONICAL_QCI_KEYS],
 )
 def test_wrongly_typed_container_is_named(path, value, named):
     data = valid_dict()

@@ -8,9 +8,9 @@ import warnings
 import pytest
 
 from conftest import make_flat_terms, make_terms
-from test_config import NON_INTEGER_TERMS, valid_dict
+from test_config import NON_CANONICAL_QCI_KEYS, NON_INTEGER_TERMS, valid_dict
 from slasim import Ledger, SlaContract, replay
-from slasim.cli import EXIT_OK, cmd_run, setup_run
+from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_run, setup_run
 from slasim.config import config_from_dict
 from slasim.errors import DigestMismatch, MalformedLog
 from slasim.replay import load_txlog, replay_entries, replay_file
@@ -135,6 +135,34 @@ def test_wire_format_is_pinned(tmp_path):
     assert json.loads((out / "report.json").read_text())["digest"] == "b3f0d5456e375c4d4fe52ed25a10f3c3ed5cce489dc00ca9084dca3d09e2ed65"
     every_op_world().export_txlog(tmp_path / "every_op.jsonl")
     assert sha256_of(tmp_path / "every_op.jsonl") == "2d32424783aef5d32ac1b4a11f75bf3cb05ae6aaf7095a1904fc50a07c666382"
+
+
+def test_spooled_log_equals_listed_log(tmp_path):
+    """``run`` spools its log to disk; a list-backed ledger exports the same bytes."""
+    data = valid_dict()
+    # no breach for 600 periods, so the spool outgrows one copy chunk
+    data["num_periods"] = 600
+    data["escrow_deposit"] = 10**7
+    data["scps"][0]["terms"]["agreed_throughput"] = {"1": 0}
+    data["scps"][0]["traffic"]["1"]["degradations"] = []
+    broke = valid_dict()
+    broke["escrow_deposit"] = 10  # cannot cover the first accrual
+    for name, scenario, code in (("full", data, EXIT_OK), ("broke", broke, EXIT_ABORT)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scenario))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert cmd_run(str(path), str(tmp_path / name)) == code
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    config = config_from_dict(data)
+    ledger, contract = setup_run(config)
+    assert isinstance(ledger.txlog, list)
+    report = drive(ledger, contract, config)
+    ledger.export_txlog(tmp_path / "listed.jsonl", digest=report.digest)
+    spooled = (tmp_path / "full" / "txlog.jsonl").read_bytes()
+    assert len(spooled) > 2**16
+    assert spooled == (tmp_path / "listed.jsonl").read_bytes()
 
 
 def driven_log(tmp_path):
@@ -273,9 +301,17 @@ WORLD = [
             "op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "mno",
             "terms": {"payment_mode": "flat_rate", "agreed_throughput": [1]},
         },
+    ]
+    + [
+        {
+            "op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "mno",
+            "terms": {"payment_mode": "flat_rate", "agreed_throughput": {key: 1000}},
+        }
+        for key in NON_CANONICAL_QCI_KEYS
     ],
     ids=["missing-field", "negative-balance", "non-string-label", "extra-field",
-         "contract-missing-id", "non-string-contract-id", "terms-not-object"],
+         "contract-missing-id", "non-string-contract-id", "terms-not-object"]
+    + [f"qci-key-{key!r}" for key in NON_CANONICAL_QCI_KEYS],
 )
 def test_invalid_fields_rejected(entry):
     with pytest.raises(MalformedLog, match=rf"entry 2 \({entry['op']}\): bad fields"):

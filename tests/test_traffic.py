@@ -72,6 +72,19 @@ class TestGenerateTrace:
         assert all(lo <= v <= hi for v in values)
         assert len(set(values)) > 1
 
+    def test_largest_nominal_still_runs(self):
+        # validate() admits nominal_kb up to 2**62 - 1; with full variability a
+        # sample reaches twice that, which still fits the trace's 64-bit values
+        nominal = 2**62 - 1
+        config = scenario(nominal=nominal, variability=(1, 1), agreed=0, num_periods=20,
+                          escrow=2**70)
+        trace = generate_trace(config)
+        values = [trace.measured(p, "scp-1", 1) for p in range(20)]
+        assert all(0 <= v <= 2 * nominal for v in values)
+        assert max(values) > nominal
+        ledger, contract = setup_run(config)
+        assert drive(ledger, contract, config).rows["scp-1"].withdrawn == 2 * sum(values)
+
     def test_slices_in_label_and_qci_order(self):
         terms = make_terms()  # QCIs 1 and 5
         traffic = {5: TrafficModel(nominal_kb=500), 1: TrafficModel(nominal_kb=1000)}
