@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 from .config import ScenarioConfig, load_config
 from .contract import SlaContract
 from .errors import ContractError, DigestMismatch, InvalidConfig, MalformedLog
-from .ledger import Ledger, TxlogSpool
+from .ledger import EventSink, Ledger, TxlogSpool
+from .report import RowFold
 from .replay import replay_file
 from .traffic import drive
 from .verify import check_strike_equivalence, conservation_fuzz
@@ -43,12 +44,14 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def setup_run(config: ScenarioConfig, txlog: Optional[TxlogSpool] = None):
+def setup_run(
+    config: ScenarioConfig, txlog: Optional[TxlogSpool] = None, events: Optional[EventSink] = None
+):
     """Fresh ledger + funded contract with every scenario SCP registered.
 
-    The ledger logs to ``txlog`` when given, else to a list.
+    The ledger logs to ``txlog`` and hands its events to the sink ``events``, if given.
     """
-    ledger = Ledger(txlog)
+    ledger = Ledger(txlog, events)
     owner = ledger.create_account(config.escrow_deposit, "mno")
     contract = SlaContract(ledger, owner)
     for scp in config.scps:
@@ -75,10 +78,11 @@ def cmd_run(config_path: str, out_dir: str, seed: Optional[int] = None) -> int:
         return EXIT_ABORT
     # the log is spooled to disk as it is logged, so a full disk can stop the
     # run at any step, not only when the outputs are written
+    fold = RowFold()  # the ledger's event sink: no list of events is kept
     try:
         with TxlogSpool(out) as txlog:
-            ledger, contract = setup_run(config, txlog)
-            report = drive(ledger, contract, config)
+            ledger, contract = setup_run(config, txlog, fold.add)
+            report = drive(ledger, contract, config, fold=fold)
             report.write_json(out / REPORT_JSON)
             report.write_csv(out / REPORT_CSV)
             ledger.export_txlog(out / TXLOG_FILE, digest=report.digest)

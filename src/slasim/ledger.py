@@ -1,8 +1,10 @@
 """Minimal simulated ledger: accounts, event log, period clock, replayable tx log.
 
 The ledger is the execution substrate for the SLA contract.  It keeps integer
-account balances (never negative, never fractional), an append-only indexed
-event log, and a monotone period counter.
+account balances (never negative, never fractional), an append-only stream of
+indexed events, and a monotone period counter.  A ledger given an event sink
+keeps only the events its digest has not folded yet, as an Ethereum node may
+prune logs, which the state root does not commit to.
 
 The transactions are ``create_account`` and the contract's operations.  Each
 one appends a single entry to the transaction log through ``Ledger._log``:
@@ -23,7 +25,7 @@ import json
 import shutil
 import tempfile
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import DuplicateAddress, InsufficientFunds, UnknownAddress
 from .fileio import atomic_write
@@ -68,6 +70,9 @@ class EventRecord(NamedTuple):
             if key == name:
                 return value
         raise KeyError(name)
+
+
+EventSink = Callable[[EventRecord], None]  # receives each event of a ledger that lists none
 
 
 class TxlogSpool:
@@ -116,17 +121,24 @@ class Ledger:
 
     ``txlog`` receives every logged entry: a list by default, or a
     ``TxlogSpool`` that writes the entries to disk as they are logged.
+    ``events`` picks the event store the same way: a list by default, or a
+    sink, which is handed each event; the ledger then keeps only the tail its
+    digest has not folded (fewer than ``_FOLD_BATCH``) and ``events`` raises.
     """
 
-    def __init__(self, txlog: Union[List[dict], TxlogSpool, None] = None) -> None:
+    def __init__(
+        self, txlog: Union[List[dict], TxlogSpool, None] = None, events: Optional[EventSink] = None
+    ) -> None:
         self.balances: Dict[str, int] = {}
-        self.events: List[EventRecord] = []
+        self.num_events = 0
+        self._events: List[EventRecord] = []  # every event, or a sink's unfolded tail
+        self._sink = events
         self.current_period: int = 0
         self.txlog = [] if txlog is None else txlog
         # contracts attach themselves so the digest covers their state too
         self.contracts: Dict[str, object] = {}
         self._anon_counter = 0
-        # running SHA-256 over self.events[:self._events_hashed]
+        # running SHA-256 over the first self._events_hashed events
         self._events_hash = hashlib.sha256()
         self._events_hashed = 0
 
@@ -174,6 +186,13 @@ class Ledger:
 
     # --- events -----------------------------------------------------------
 
+    @property
+    def events(self) -> List[EventRecord]:
+        """Every event, in index order; a ledger with a sink keeps none."""
+        if self._sink is not None:
+            raise RuntimeError("this ledger folds and drops its events; it keeps no list")
+        return self._events
+
     def append_event(
         self,
         kind: EventKind,
@@ -181,34 +200,15 @@ class Ledger:
         qci: Optional[int] = None,
         payload: Tuple[Tuple[str, int], ...] = (),
     ) -> int:
-        index = len(self.events)
-        self.events.append(
-            EventRecord(index, self.current_period, kind, subject, qci, tuple(payload))
-        )
+        index = self.num_events
+        event = EventRecord(index, self.current_period, kind, subject, qci, tuple(payload))
+        self.num_events = index + 1
+        self._events.append(event)
+        if self._sink is not None:
+            self._sink(event)
+            if len(self._events) == _FOLD_BATCH:
+                self._events_sha256()
         return index
-
-    def query_events(
-        self,
-        kind: Optional[EventKind] = None,
-        subject: Optional[str] = None,
-        period_range: Optional[Tuple[int, int]] = None,
-    ) -> List[EventRecord]:
-        """Filtered view of the log, ascending index order, filters ANDed.
-
-        ``period_range`` bounds are inclusive on both ends.
-        """
-        out = []
-        for record in self.events:
-            if kind is not None and record.kind is not kind:
-                continue
-            if subject is not None and record.subject != subject:
-                continue
-            if period_range is not None:
-                first, last = period_range
-                if not (first <= record.period <= last):
-                    continue
-            out.append(record)
-        return out
 
     # --- period clock -----------------------------------------------------
 
@@ -234,15 +234,18 @@ class Ledger:
         ``[index, period, kind, subject, qci, [[name, value], ...]]`` followed
         by a comma, so the hash is the same however many reads split the log.
         An event once folded is never read again, which relies on the log
-        being append-only.
+        being append-only; a ledger with a sink drops it.
         """
-        events = self.events
-        while self._events_hashed < len(events):
-            start = self._events_hashed
+        events = self._events
+        first = self.num_events - len(events)  # the index of events[0]
+        while self._events_hashed < self.num_events:
+            start = self._events_hashed - first
             rows = events[start : start + _FOLD_BATCH]
             blob = json.dumps(rows, separators=(",", ":"))[1:-1] + ","
             self._events_hash.update(blob.encode("utf-8"))
             self._events_hashed += len(rows)
+        if self._sink is not None:
+            events.clear()
         return self._events_hash.hexdigest()
 
     def canonical_state(self) -> dict:
@@ -254,7 +257,7 @@ class Ledger:
         return {
             "accounts": {addr: self.balances[addr] for addr in sorted(self.balances)},
             "period": self.current_period,
-            "events": {"count": len(self.events), "sha256": self._events_sha256()},
+            "events": {"count": self.num_events, "sha256": self._events_sha256()},
             "contracts": {
                 cid: self.contracts[cid].canonical_state()
                 for cid in sorted(self.contracts)

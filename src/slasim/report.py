@@ -1,6 +1,6 @@
 """Run reports: per-provider settlement rows plus contract summary.
 
-The rows are a fold of the ledger's event log (``rows_from_events``), as
+The rows are a fold of the ledger's event stream (``RowFold``), as
 off-chain readers learn an on-chain contract's outcome from its logs.  Both
 output formats (JSON and CSV) encode exactly the same numbers; CSV column
 order and header names are frozen so golden-file comparisons stay stable
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Set
 
 from .fileio import atomic_write
@@ -52,21 +52,23 @@ class ScpRow:
         }
 
 
-def rows_from_events(events: Iterable[EventRecord], num_periods: int) -> Dict[str, ScpRow]:
-    """Fold an event log into one settlement row per registered provider.
+class RowFold:
+    """One settlement row per registered provider, folded one event at a time.
 
     Payouts add to ``earned``, breach debits to ``penalized`` and withdrawals
     to ``withdrawn``; ``final_credit`` is the running credit.  Each payout
     applies the strike reset and appends the strike count to the timeline.
-    A removed provider gets no more payouts, so its timeline is padded to
-    ``num_periods`` with its frozen count.  ``ScpRegistered`` starts afresh.
+    ``ScpRegistered`` starts afresh.
     """
-    rows: Dict[str, ScpRow] = {}
-    strikes: Dict[str, int] = {}
-    breached: Set[str] = set()
-    for event in events:
+
+    def __init__(self) -> None:
+        self._rows: Dict[str, ScpRow] = {}
+        self._strikes: Dict[str, int] = {}
+        self._breached: Set[str] = set()
+
+    def add(self, event: EventRecord) -> None:
         kind, scp = event.kind, event.subject
-        row = rows.get(scp)
+        row, strikes, breached = self._rows.get(scp), self._strikes, self._breached
         if kind is EventKind.PERIODIC_PAYOUT:
             payout = event.payload_value("payout")
             row.earned += payout
@@ -90,13 +92,26 @@ def rows_from_events(events: Iterable[EventRecord], num_periods: int) -> Dict[st
         elif kind is EventKind.SCP_REMOVED:
             row.removal_period = event.period
         elif kind is EventKind.SCP_REGISTERED:
-            rows[scp] = ScpRow(label=scp)
+            self._rows[scp] = ScpRow(label=scp)
             strikes[scp] = 0
             breached.discard(scp)
-    for scp, row in rows.items():
-        timeline = row.strikes_timeline
-        timeline.extend([strikes[scp]] * (num_periods - len(timeline)))
-    return rows
+
+    def rows(self, num_periods: int) -> Dict[str, ScpRow]:
+        """The rows so far.  A removed provider gets no more payouts, so its
+        timeline is padded to ``num_periods`` with its frozen count."""
+        rows = {}
+        for scp, row in self._rows.items():
+            padding = [self._strikes[scp]] * (num_periods - len(row.strikes_timeline))
+            rows[scp] = replace(row, strikes_timeline=row.strikes_timeline + padding)
+        return rows
+
+
+def rows_from_events(events: Iterable[EventRecord], num_periods: int) -> Dict[str, ScpRow]:
+    """The settlement rows of an event log (see ``RowFold``)."""
+    fold = RowFold()
+    for event in events:
+        fold.add(event)
+    return fold.rows(num_periods)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from .config import ScenarioConfig
 from .contract import SlaContract, SlaTerms
 from .errors import UnknownQci
 from .ledger import Ledger
-from .report import RunReport, rows_from_events
+from .report import RowFold, RunReport, rows_from_events
 from .rng import splitmix64, stream_key
 
 # (label, qci, kb_served) with kb_served == measured average throughput
@@ -47,13 +47,6 @@ class TrafficTrace:
 
     def period_slice(self, period: int) -> List[StreamSample]:
         return [(label, qci, kb) for (label, qci), kb in zip(self.streams, self.periods[period])]
-
-    def measured(self, period: int, label: str, qci: int) -> int:
-        try:
-            column = self.streams.index((label, qci))
-        except ValueError:
-            raise KeyError((period, label, qci)) from None
-        return self.periods[period][column]
 
 
 def generate_trace(config: ScenarioConfig) -> TrafficTrace:
@@ -118,14 +111,16 @@ def drive(
     contract: SlaContract,
     config: ScenarioConfig,
     trace: Optional[TrafficTrace] = None,
+    fold: Optional[RowFold] = None,
 ) -> RunReport:
     """Run the full scenario against an already funded, registered contract.
 
     Expects every scenario SCP registered under its label as its ledger
     address and the owner's deposit already made.  After the last period,
     every provider with positive credit withdraws.  The report's rows are
-    folded from the resulting event log.  Propagates contract errors
-    (notably InsufficientEscrowForAccrual) to the caller.
+    those of ``fold``, a ``RowFold`` that has seen every event (as the
+    ledger's sink ``fold.add`` does), else the fold of ``ledger.events``.
+    Propagates contract errors (notably InsufficientEscrowForAccrual).
     """
     if trace is None:
         trace = generate_trace(config)
@@ -146,14 +141,16 @@ def drive(
         if contract.registry[label].credit > 0:
             contract.withdraw(label)
 
+    periods = config.num_periods
+    rows = rows_from_events(ledger.events, periods) if fold is None else fold.rows(periods)
     return RunReport(
         seed=config.seed,
         config_echo=config.to_dict(),
-        rows=rows_from_events(ledger.events, config.num_periods),
+        rows=rows,
         total_deposits=contract.total_deposits,
         escrow_remaining=contract.escrow,
         total_withdrawn=contract.total_withdrawn,
         total_recovered=contract.total_recovered,
-        num_events=len(ledger.events),
+        num_events=ledger.num_events,
         digest=ledger.state_digest(),
     )

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .contract import PER_TRAFFIC, SlaContract, SlaTerms
 from .errors import ContractError
-from .ledger import EventKind, Ledger
+from .ledger import Ledger
 from .report import rows_from_events
 
 
@@ -55,8 +55,7 @@ def contract_removal_period(seq: Sequence[bool], limit: int = 3) -> Optional[int
         if breached and contract.registry[scp].active:
             contract.throughput_breach(owner, scp, 1, 10)
         if not contract.registry[scp].active:
-            removed = ledger.query_events(kind=EventKind.SCP_REMOVED, subject=scp)
-            return removed[0].period
+            return ledger.events[-1].period  # the ScpRemoved event just emitted
         contract.close_period(owner)
     return None
 

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slasim import EventKind, Ledger
+from conftest import make_terms
+from slasim import EventKind, Ledger, SlaContract
 from slasim.errors import DuplicateAddress, InsufficientFunds, UnknownAddress
+from slasim.ledger import _FOLD_BATCH
+from slasim.report import RowFold, rows_from_events
+from slasim.verify import registry_matches_events
 
 
 class TestAccounts:
@@ -94,41 +98,16 @@ class TestEvents:
         ledger.append_event(
             EventKind.INSUFFICIENT_THROUGHPUT, "scp", qci=5, payload=(("deficit", 7),)
         )
-        [record] = ledger.query_events()
+        [record] = ledger.events
         assert record.kind is EventKind.INSUFFICIENT_THROUGHPUT
         assert record.subject == "scp"
         assert record.qci == 5
         assert record.payload == (("deficit", 7),)
 
-    def test_empty_log_any_filter(self, ledger):
-        assert ledger.query_events(kind=EventKind.DEPOSIT) == []
-        assert ledger.query_events() == []
-
     def test_no_filter_returns_everything_in_order(self, ledger):
         for i in range(4):
             ledger.append_event(EventKind.DEPOSIT, f"a{i}")
-        records = ledger.query_events()
-        assert [r.index for r in records] == [0, 1, 2, 3]
-
-    def test_kind_filter(self, ledger):
-        # 5 events, exactly 2 payouts; expected set enumerated by hand
-        ledger.append_event(EventKind.DEPOSIT, "mno")
-        ledger.append_event(EventKind.PERIODIC_PAYOUT, "scp-1")
-        ledger.append_event(EventKind.WITHDRAWAL, "scp-1")
-        ledger.append_event(EventKind.PERIODIC_PAYOUT, "scp-2")
-        ledger.append_event(EventKind.SCP_REMOVED, "scp-2")
-        records = ledger.query_events(kind=EventKind.PERIODIC_PAYOUT)
-        assert [(r.index, r.subject) for r in records] == [(1, "scp-1"), (3, "scp-2")]
-
-    def test_filters_compose_conjunctively(self, ledger):
-        ledger.append_event(EventKind.PERIODIC_PAYOUT, "scp-1")
-        ledger.advance_period()
-        ledger.append_event(EventKind.PERIODIC_PAYOUT, "scp-1")
-        ledger.append_event(EventKind.PERIODIC_PAYOUT, "scp-2")
-        records = ledger.query_events(
-            kind=EventKind.PERIODIC_PAYOUT, subject="scp-1", period_range=(1, 1)
-        )
-        assert [r.index for r in records] == [1]
+        assert [r.index for r in ledger.events] == [0, 1, 2, 3]
 
     def test_append_only_prefix(self, ledger):
         ledger.append_event(EventKind.DEPOSIT, "a")
@@ -244,3 +223,60 @@ class TestRollingEventDigest:
             "sha256": hashlib.sha256(rows.encode("utf-8")).hexdigest(),
         }
         assert len(ledger.events) == 12
+
+
+def settlement_events(ledger, count, probe):
+    """Append ``count`` events the report fold reads, three to a period, and
+    call ``probe`` after events 100 and 300, in the middle of a fold batch."""
+    for i in range(count):
+        if i == 0:
+            ledger.append_event(EventKind.SCP_REGISTERED, "scp")
+        elif i % 3 == 1:
+            ledger.append_event(EventKind.PERIODIC_PAYOUT, "scp", payload=(("payout", i),))
+        elif i % 3 == 2:
+            debit = (("deficit", 2), ("debit", 1))
+            ledger.append_event(EventKind.INSUFFICIENT_THROUGHPUT, "scp", qci=1, payload=debit)
+        else:
+            ledger.advance_period()
+            ledger.append_event(EventKind.WITHDRAWAL, "scp", payload=(("amount", 1),))
+        if i in (100, 300):
+            probe()
+
+
+class TestEventSink:
+    @pytest.mark.parametrize("count", [0, 255, 256, 257, 513])
+    def test_sink_ledger_equals_list_ledger(self, count):
+        fold = RowFold()
+        streamed, listed = Ledger(events=fold.add), Ledger()
+        probes = {streamed: [], listed: []}
+        for ledger in (streamed, listed):
+            settlement_events(ledger, count, lambda: probes[ledger].append(ledger.state_digest()))
+        assert probes[streamed] == probes[listed]
+        assert len(probes[listed]) == (count > 100) + (count > 300)
+        assert streamed.canonical_state() == listed.canonical_state()
+        assert streamed.canonical_state()["events"]["count"] == streamed.num_events == count
+        assert streamed.state_digest() == listed.state_digest()
+        periods = listed.current_period + 1
+        assert fold.rows(periods) == rows_from_events(listed.events, periods)
+        assert len(listed.events) == count
+
+    def test_sink_ledger_keeps_only_the_unfolded_tail(self):
+        streamed = Ledger(events=lambda event: None)
+        indices = [streamed.append_event(EventKind.DEPOSIT, "a") for _ in range(3 * _FOLD_BATCH)]
+        assert indices == list(range(3 * _FOLD_BATCH))
+        assert streamed._events == []  # every full batch was folded and dropped
+        streamed.append_event(EventKind.DEPOSIT, "a")
+        assert len(streamed._events) == 1
+        streamed.state_digest()
+        assert streamed._events == []
+
+    def test_events_of_a_sink_ledger_cannot_be_read(self):
+        ledger = Ledger(events=lambda event: None)
+        owner = ledger.create_account(10_000, "mno")
+        contract = SlaContract(ledger, owner)
+        contract.register_scp(owner, ledger.create_account(0, "scp-1"), make_terms())
+        # the events are not kept: a reader must fail, never see only the tail
+        with pytest.raises(RuntimeError, match="keeps no list"):
+            ledger.events
+        with pytest.raises(RuntimeError, match="keeps no list"):
+            registry_matches_events(contract)

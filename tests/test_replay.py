@@ -13,7 +13,9 @@ from slasim import Ledger, SlaContract, replay
 from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_run, setup_run
 from slasim.config import config_from_dict
 from slasim.errors import DigestMismatch, MalformedLog
+from slasim.ledger import _FOLD_BATCH, EventRecord
 from slasim.replay import load_txlog, replay_entries, replay_file
+from slasim.report import RowFold, rows_from_events
 from slasim.traffic import drive
 
 
@@ -73,9 +75,9 @@ def test_tampered_amount_is_detected(tmp_path):
         replay_file(path)
 
 
-def every_op_world():
+def every_op_world(ledger=None):
     """A ledger whose log holds every logged operation, a re-registration included."""
-    ledger = Ledger()
+    ledger = Ledger() if ledger is None else ledger
     owner = ledger.create_account(100_000, "mno")
     contract = SlaContract(ledger, owner)
     scp = ledger.create_account()  # no label: the ledger names it
@@ -118,6 +120,16 @@ def test_replay_keeps_no_log(tmp_path):
     replayed = replay_entries(entries)
     assert replayed.txlog == []
     assert replayed.canonical_state() == ledger.canonical_state()
+
+
+def test_sink_ledger_equals_list_ledger_on_every_op():
+    fold = RowFold()
+    streamed, listed = every_op_world(Ledger(events=fold.add)), every_op_world()
+    assert streamed.txlog == listed.txlog
+    assert streamed.canonical_state() == listed.canonical_state()
+    assert streamed.state_digest() == listed.state_digest()
+    periods = listed.current_period
+    assert fold.rows(periods) == rows_from_events(listed.events, periods)
 
 
 def sha256_of(path):
@@ -163,6 +175,43 @@ def test_spooled_log_equals_listed_log(tmp_path):
     spooled = (tmp_path / "full" / "txlog.jsonl").read_bytes()
     assert len(spooled) > 2**16
     assert spooled == (tmp_path / "listed.jsonl").read_bytes()
+
+
+def test_streamed_run_equals_listed_run(tmp_path):
+    """``run`` folds its events as they pass; a list-backed run reports the same."""
+    data = valid_dict()
+    data["num_periods"] = 700
+    data["escrow_deposit"] = 10**8
+    for label in ("scp-2", "scp-3"):  # never breach: a payout every period
+        scp = valid_dict()["scps"][0]
+        scp["label"] = label
+        scp["terms"]["agreed_throughput"] = {"1": 0}
+        data["scps"].append(scp)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cmd_run(str(path), str(tmp_path / "streamed")) == EXIT_OK
+    config = config_from_dict(data)
+    ledger, contract = setup_run(config)
+    report = drive(ledger, contract, config)
+    assert report.rows["scp-1"].removal_period is not None
+    assert report.num_events > 4 * _FOLD_BATCH
+    listed = tmp_path / "listed"
+    listed.mkdir()
+    report.write_json(listed / "report.json")
+    report.write_csv(listed / "report.csv")
+    ledger.export_txlog(listed / "txlog.jsonl", digest=report.digest)
+    for name in ("report.json", "report.csv", "txlog.jsonl"):
+        assert (tmp_path / "streamed" / name).read_bytes() == (listed / name).read_bytes()
+    # replay keeps no more than the events its digest has not folded
+    del ledger, contract, report
+    gc.collect()
+    before = sum(isinstance(o, EventRecord) for o in gc.get_objects())
+    _, entries = load_txlog(tmp_path / "streamed" / "txlog.jsonl")
+    replayed = replay_entries(entries)
+    gc.collect()
+    held = sum(isinstance(o, EventRecord) for o in gc.get_objects()) - before
+    assert replayed.num_events > 1000
+    assert held < _FOLD_BATCH
 
 
 def driven_log(tmp_path):
@@ -234,7 +283,8 @@ def test_bad_batch_sample_rejected_on_replay(tmp_path, bad):
         replay_entries(entries)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+# 4.0 == 4 and True == 1 in Python, but the header fields are integers
+@pytest.mark.parametrize("version", [1, 2, 3, 4.0])
 def test_old_log_version_rejected(tmp_path, version):
     path = tmp_path / "log.jsonl"
     busy_world().export_txlog(path)
@@ -363,15 +413,28 @@ def test_non_utf8_log_rejected(tmp_path, line):
         replay_file(path)
 
 
-@pytest.mark.parametrize("count", [999, "missing"])
-def test_header_entry_count_is_checked(tmp_path, count):
+def one_entry_world():
+    ledger = Ledger()
+    ledger.create_account(5, "a")
+    return ledger
+
+
+@pytest.mark.parametrize(
+    "world, count",
+    [(busy_world, 999), (busy_world, "missing"), (busy_world, float), (one_entry_world, True)],
+    ids=["999", "missing", "float", "true"],
+)
+def test_header_entry_count_is_checked(tmp_path, world, count):
     path = tmp_path / "log.jsonl"
-    busy_world().export_txlog(path)
+    world().export_txlog(path)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
     if count == "missing":
         del header["entries"]
+    elif count is float:  # the right count, as a float
+        header["entries"] = float(header["entries"])
     else:
+        assert count is not True or header["entries"] == 1  # True == 1 in Python
         header["entries"] = count
     lines[0] = json.dumps(header, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")

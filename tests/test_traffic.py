@@ -34,18 +34,25 @@ def scenario(num_periods=10, variability=(0, 1), degradations=(), nominal=1000,
     )
 
 
+def only_kb(trace, period):
+    """The kb of a one-stream trace's only sample in ``period``."""
+    [(label, qci, kb)] = trace.period_slice(period)
+    assert (label, qci) == ("scp-1", 1)
+    return kb
+
+
 class TestGenerateTrace:
     def test_zero_variability_hits_nominal(self):
         trace = generate_trace(scenario())
         for period in range(10):
-            assert trace.measured(period, "scp-1", 1) == 1000
+            assert only_kb(trace, period) == 1000
 
     def test_zero_multiplier_annihilates(self):
         config = scenario(degradations=[DegradationWindow(3, 5, (0, 1))])
         trace = generate_trace(config)
         for period in range(10):
             expected = 0 if 3 <= period <= 5 else 1000
-            assert trace.measured(period, "scp-1", 1) == expected
+            assert only_kb(trace, period) == expected
 
     def test_multipliers_compose_with_floor(self):
         config = scenario(
@@ -53,7 +60,7 @@ class TestGenerateTrace:
         )
         trace = generate_trace(config)
         # 1000 -> 500 -> 333
-        assert trace.measured(0, "scp-1", 1) == 333
+        assert only_kb(trace, 0) == 333
 
     def test_same_seed_identical(self):
         a = generate_trace(scenario(variability=(1, 4)))
@@ -68,7 +75,7 @@ class TestGenerateTrace:
     def test_draws_stay_in_bounds(self):
         trace = generate_trace(scenario(variability=(1, 4), num_periods=200))
         lo, hi = 750, 1250
-        values = [trace.measured(p, "scp-1", 1) for p in range(200)]
+        values = [only_kb(trace, p) for p in range(200)]
         assert all(lo <= v <= hi for v in values)
         assert len(set(values)) > 1
 
@@ -79,7 +86,7 @@ class TestGenerateTrace:
         config = scenario(nominal=nominal, variability=(1, 1), agreed=0, num_periods=20,
                           escrow=2**70)
         trace = generate_trace(config)
-        values = [trace.measured(p, "scp-1", 1) for p in range(20)]
+        values = [only_kb(trace, p) for p in range(20)]
         assert all(0 <= v <= 2 * nominal for v in values)
         assert max(values) > nominal
         ledger, contract = setup_run(config)
@@ -151,7 +158,7 @@ class TestDrive:
         assert row.strikes_timeline == [0, 0, 1, 2, 3, 3, 3, 3, 3, 3]
         assert contract.get_scp_status("scp-1")[0] is False
         # removal happens before the period-4 close, so the last payout is period 3
-        payouts = ledger.query_events(kind=EventKind.PERIODIC_PAYOUT, subject="scp-1")
+        payouts = [e for e in ledger.events if e.kind is EventKind.PERIODIC_PAYOUT]
         assert max(e.period for e in payouts) == 3
 
     def test_zero_period_scenario(self):
@@ -190,7 +197,7 @@ class TestDrive:
                     strikes = 0
         ledger, contract = setup_run(config)
         drive(ledger, contract, config)
-        fired = ledger.query_events(kind=EventKind.INSUFFICIENT_THROUGHPUT)
+        fired = [e for e in ledger.events if e.kind is EventKind.INSUFFICIENT_THROUGHPUT]
         assert len(fired) == expected
 
     def test_run_twice_identical_reports(self):
