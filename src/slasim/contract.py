@@ -3,7 +3,11 @@
 Settlement model, all in exact integers:
 
   * Served traffic is recorded by one op, ``record_traffic``, which takes a
-    period's ``(scp, qci, kb)`` samples and logs them as one txlog entry.
+    period's kb values, one per active stream in the contract's stream order,
+    and logs them as one txlog entry.  The stream order is the active records
+    in address order and, within each, its agreed QCIs in ascending order:
+    the contract already stores every address and QCI, so the entry carries
+    none of them.
   * Per-traffic mode pays price_per_kb[qci] * kb served, accrued as credit at
     each period close; flat-rate mode pays a fixed amount per period.
   * Payouts use the withdrawal pattern: the contract only accrues credit and
@@ -184,6 +188,10 @@ class SlaContract:
         self.account = ledger._new_account(0, f"{self.id}:escrow")
         self.registry: Dict[str, ScpRecord] = {}  # in address order
         self.archived: List[ScpRecord] = []
+        # the stream order record_traffic reads; derived from the registry,
+        # so it is rebuilt when a record joins or leaves the active set and
+        # is not part of canonical_state
+        self._streams: List[Tuple[ScpRecord, int]] = []
         self.disabled = False
         self.total_deposits = 0
         self.total_withdrawn = 0
@@ -209,6 +217,14 @@ class SlaContract:
             raise InactiveScp(f"{scp!r} has been removed from the register")
         return record
 
+    def _rebuild_streams(self) -> None:
+        self._streams = [
+            (record, qci)
+            for record in self.registry.values()
+            if record.active
+            for qci in sorted(record.terms.agreed_throughput)
+        ]
+
     # --- registration and funding -------------------------------------------
 
     def register_scp(self, caller: str, scp: str, terms: SlaTerms) -> None:
@@ -230,6 +246,7 @@ class SlaContract:
             records = sorted(self.registry.items())
             self.registry.clear()
             self.registry.update(records)
+        self._rebuild_streams()
         self.ledger.append_event(EventKind.SCP_REGISTERED, scp)
         self.ledger._log(
             "register_scp", contract=self.id, caller=caller, scp=scp, terms=terms.to_dict()
@@ -247,30 +264,33 @@ class SlaContract:
 
     # --- per-period flow ------------------------------------------------------
 
-    def record_traffic(self, caller: str, samples: Iterable[Tuple[str, int, int]]) -> None:
-        """Record one period's ``(scp, qci, kb)`` samples as one txlog entry.
+    @property
+    def stream_order(self) -> List[Tuple[str, int]]:
+        """The ``(scp, qci)`` stream that each ``record_traffic`` value is for."""
+        return [(record.address, qci) for record, qci in self._streams]
 
-        Every sample is checked before any ``served`` counter changes, so a
-        bad call changes nothing; each provider's record is looked up once per
-        call.  The entry logs the samples as a tuple of tuples, which the
-        caller cannot change afterwards.
+    def record_traffic(self, caller: str, kb: Iterable[int]) -> None:
+        """Record one period's served kb, one value per stream of ``stream_order``.
+
+        The whole vector is checked before any ``served`` counter changes, so
+        a bad call changes nothing.  The entry logs the values as a tuple,
+        which the caller cannot change afterwards.
         """
         self._require_owner(caller)
         self._require_enabled()
-        logged = tuple(map(tuple, samples))
-        records: Dict[str, ScpRecord] = {}
-        for scp, qci, kb in logged:
-            record = records.get(scp)
-            if record is None:
-                record = records[scp] = self._active_record(scp)
-            if type(qci) is not int or type(kb) is not int or kb < 0:
-                raise ValueError(f"qci and kb must be integers, kb >= 0, got {qci!r} and {kb!r}")
-            if qci not in record.terms.agreed_throughput:
-                raise UnknownQci(f"QCI {qci} is not part of {scp!r}'s agreement")
-        for scp, qci, kb in logged:
-            served = records[scp].served
-            served[qci] = served.get(qci, 0) + kb
-        self.ledger._log("record_traffic", contract=self.id, caller=caller, samples=logged)
+        logged = tuple(kb)
+        streams = self._streams
+        if len(logged) != len(streams):
+            raise ValueError(
+                f"expected {len(streams)} kb values, one per active stream, got {len(logged)}"
+            )
+        if set(map(type, logged)) - {int} or min(logged, default=0) < 0:
+            bad = next(value for value in logged if type(value) is not int or value < 0)
+            raise ValueError(f"kb values must be integers >= 0, got {bad!r}")
+        for (record, qci), value in zip(streams, logged):
+            served = record.served
+            served[qci] = served.get(qci, 0) + value
+        self.ledger._log("record_traffic", contract=self.id, caller=caller, kb=logged)
 
     def throughput_breach(self, caller: str, scp: str, qci: int, deficit: int) -> None:
         self._require_owner(caller)
@@ -295,6 +315,7 @@ class SlaContract:
             record.consecutive_strikes += 1
             if record.consecutive_strikes >= record.terms.strike_limit:
                 record.active = False
+                self._rebuild_streams()
                 self.ledger.append_event(
                     EventKind.SCP_REMOVED,
                     scp,
@@ -361,19 +382,28 @@ class SlaContract:
     # --- settlement -----------------------------------------------------------
 
     def withdraw(self, caller: str) -> int:
-        """Withdrawal-pattern settlement; allowed even after the fail-safe."""
+        """Withdrawal-pattern settlement; allowed even after the fail-safe.
+
+        Pays the positive credit of the caller's live record and of its
+        archived records, the same credits ``positive_credit_sum`` counts.
+        Debt is not netted against it: an archived record's debt stays frozen.
+        """
         record = self.registry.get(caller)
         if record is None:
             raise UnknownScp(f"{caller!r} is not in the register")
-        if record.credit <= 0:
+        paid = [
+            rec for rec in (*self.archived, record) if rec.address == caller and rec.credit > 0
+        ]
+        amount = sum(rec.credit for rec in paid)
+        if amount == 0:
             raise NothingToWithdraw(f"{caller!r} has credit {record.credit}")
-        amount = record.credit
         if self.escrow < amount:
             raise InsufficientEscrow(
                 f"escrow {self.escrow} cannot settle credit {amount}"
             )
         self.ledger.transfer(self.account, caller, amount)
-        record.credit = 0
+        for rec in paid:
+            rec.credit = 0
         self.total_withdrawn += amount
         self.ledger.append_event(
             EventKind.WITHDRAWAL, caller, payload=(("amount", amount),)
@@ -417,12 +447,6 @@ class SlaContract:
         total = sum(max(rec.credit, 0) for rec in self.registry.values())
         total += sum(max(rec.credit, 0) for rec in self.archived)
         return total
-
-    def get_scp_status(self, scp: str) -> Tuple[bool, int, int]:
-        record = self.registry.get(scp)
-        if record is None:
-            raise UnknownScp(f"{scp!r} is not in the register")
-        return record.active, record.credit, record.consecutive_strikes
 
     def canonical_state(self) -> dict:
         return {

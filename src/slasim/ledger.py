@@ -31,7 +31,8 @@ from .errors import DuplicateAddress, InsufficientFunds, UnknownAddress
 from .fileio import atomic_write
 
 TXLOG_FORMAT = "slasim-txlog"
-TXLOG_VERSION = 4  # 4: one record_traffic op, which takes a list of samples
+TXLOG_VERSION = 5  # 5: record_traffic takes one kb value per stream, in stream order
+TXLOG_HEADER_KEYS = frozenset({"format", "version", "digest", "entries"})
 
 # Events folded into the digest per encoder call, so the JSON text held at once
 # stays small.  Records are encoded as they are (a NamedTuple is a JSON array

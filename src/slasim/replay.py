@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, Tuple
 
 from .contract import SlaContract, SlaTerms
 from .errors import DigestMismatch, MalformedLog, SimError
-from .ledger import TXLOG_FORMAT, TXLOG_VERSION, Ledger
+from .ledger import TXLOG_FORMAT, TXLOG_HEADER_KEYS, TXLOG_VERSION, Ledger
 
 # SlaContract methods a log entry may name.  Each is looked up on the contract
 # when its entry is replayed, not bound here, so a wrapper installed on the
@@ -38,6 +38,9 @@ CONTRACT_OPS = frozenset(
 def _read_log(path) -> Iterator[dict]:
     """Yield the checked header, then each entry as it is decoded.
 
+    A header with a key other than those ``export_txlog`` writes is rejected
+    before any entry is read, so a misspelt key is named, not replayed past.
+
     The file stays open until the last entry is read or the generator is
     closed; a bad line is reported when iteration reaches it.
     """
@@ -49,6 +52,9 @@ def _read_log(path) -> Iterator[dict]:
             header = json.loads(first)
             if not isinstance(header, dict) or header.get("format") != TXLOG_FORMAT:
                 raise MalformedLog("missing or unrecognized transaction log header")
+            for key in header:
+                if key not in TXLOG_HEADER_KEYS:
+                    raise MalformedLog(f"unknown header key {key!r}")
             version = header.get("version")
             if type(version) is not int or version != TXLOG_VERSION:
                 raise MalformedLog(

@@ -58,13 +58,16 @@ class RowFold:
     Payouts add to ``earned``, breach debits to ``penalized`` and withdrawals
     to ``withdrawn``; ``final_credit`` is the running credit.  Each payout
     applies the strike reset and appends the strike count to the timeline.
-    ``ScpRegistered`` starts afresh.
+    ``ScpRegistered`` starts afresh; the positive credit of the row it
+    replaces is the archived credit that the label's next withdrawal also
+    pays, and that share is left out of the new row.
     """
 
     def __init__(self) -> None:
         self._rows: Dict[str, ScpRow] = {}
         self._strikes: Dict[str, int] = {}
         self._breached: Set[str] = set()
+        self._archived: Dict[str, int] = {}  # positive credit of replaced rows
 
     def add(self, event: EventRecord) -> None:
         kind, scp = event.kind, event.subject
@@ -86,12 +89,14 @@ class RowFold:
                 breached.add(scp)
                 strikes[scp] += 1
         elif kind is EventKind.WITHDRAWAL:
-            amount = event.payload_value("amount")
+            amount = event.payload_value("amount") - self._archived.pop(scp, 0)
             row.withdrawn += amount
             row.final_credit -= amount
         elif kind is EventKind.SCP_REMOVED:
             row.removal_period = event.period
         elif kind is EventKind.SCP_REGISTERED:
+            if row is not None and row.final_credit > 0:
+                self._archived[scp] = self._archived.get(scp, 0) + row.final_credit
             self._rows[scp] = ScpRow(label=scp)
             strikes[scp] = 0
             breached.discard(scp)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import ScenarioConfig
 from .contract import SlaContract, SlaTerms
@@ -24,9 +24,6 @@ from .errors import UnknownQci
 from .ledger import Ledger
 from .report import RowFold, RunReport, rows_from_events
 from .rng import splitmix64, stream_key
-
-# (label, qci, kb_served) with kb_served == measured average throughput
-StreamSample = Tuple[str, int, int]
 
 
 @dataclass
@@ -36,17 +33,15 @@ class TrafficTrace:
     ``streams`` holds every stream's ``(label, qci)`` once, in (label, qci)
     order.  ``periods[p]`` holds period ``p``'s measured kb, one value per
     stream in that order, as an ``array('q')``: a trace of 450,000 samples is
-    about 4 MiB of values rather than 45 MiB of tuples.  ``period_slice``
-    builds a period's ``(label, qci, kb)`` samples when they are asked for.
+    about 4 MiB of values rather than 45 MiB of tuples.  With every label
+    registered as its address and active, that order is the contract's stream
+    order, so a period's values are a ``record_traffic`` vector as they are.
     """
 
     seed: int
     num_periods: int
     streams: List[Tuple[str, int]] = field(default_factory=list)
     periods: List[array] = field(default_factory=list)
-
-    def period_slice(self, period: int) -> List[StreamSample]:
-        return [(label, qci, kb) for (label, qci), kb in zip(self.streams, self.periods[period])]
 
 
 def generate_trace(config: ScenarioConfig) -> TrafficTrace:
@@ -87,22 +82,22 @@ def generate_trace(config: ScenarioConfig) -> TrafficTrace:
 
 
 def detect_breaches(
-    period_slice: List[StreamSample], terms_by_label: Dict[str, SlaTerms]
+    streams: Sequence[Tuple[str, int]], kb: Sequence[int], terms_by_label: Dict[str, SlaTerms]
 ) -> List[Tuple[str, int, int]]:
     """Breach entries (label, qci, deficit) for every measured < agreed.
 
-    Strict inequality: meeting the agreed average exactly is not a breach.
-    Output is ordered by (label, qci) for determinism.
+    ``kb`` holds one measured value per stream of ``streams``.  Strict
+    inequality: meeting the agreed average exactly is not a breach.  Output
+    follows the order of ``streams``, which a trace keeps in (label, qci) order.
     """
     breaches = []
-    for label, qci, measured in period_slice:
+    for (label, qci), measured in zip(streams, kb):
         terms = terms_by_label[label]
         if qci not in terms.agreed_throughput:
             raise UnknownQci(f"QCI {qci} is not part of {label!r}'s agreement")
         agreed = terms.agreed_throughput[qci]
         if measured < agreed:
             breaches.append((label, qci, agreed - measured))
-    breaches.sort(key=lambda b: (b[0], b[1]))
     return breaches
 
 
@@ -126,15 +121,24 @@ def drive(
         trace = generate_trace(config)
     owner = contract.owner
     terms_by_label = {scp.label: scp.terms for scp in config.scps}
+    registry = contract.registry
+    # the trace columns of the active streams, once a removal leaves some out;
+    # until then a period's values are the contract's vector as they are
+    columns: Optional[List[int]] = None
 
     for period in range(config.num_periods):
-        period_slice = trace.period_slice(period)
-        samples = [s for s in period_slice if contract.registry[s[0]].active]
-        if samples:
-            contract.record_traffic(owner, samples)
-        for label, qci, deficit in detect_breaches(period_slice, terms_by_label):
-            if contract.registry[label].active:
+        kb = trace.periods[period]
+        active_kb = kb if columns is None else [kb[i] for i in columns]
+        if active_kb:
+            contract.record_traffic(owner, active_kb)
+        for label, qci, deficit in detect_breaches(trace.streams, kb, terms_by_label):
+            record = registry[label]
+            if record.active:
                 contract.throughput_breach(owner, label, qci, deficit)
+                if not record.active:
+                    columns = [
+                        i for i, (name, _) in enumerate(trace.streams) if registry[name].active
+                    ]
         contract.close_period(owner)
 
     for label in sorted(terms_by_label):

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .contract import PER_TRAFFIC, SlaContract, SlaTerms
-from .errors import ContractError
+from .errors import ContractError, InactiveScp
 from .ledger import Ledger
 from .report import rows_from_events
 
@@ -155,8 +155,13 @@ def conservation_fuzz(num_ops: int, seed: int = 0) -> Optional[dict]:
             if action == "deposit":
                 contract.deposit(owner, rng.randrange(0, 10_000))
             elif action == "traffic":
-                sample = (rng.choice(scps), rng.choice([1, 2]), rng.randrange(0, 2_000))
-                contract.record_traffic(owner, [sample])
+                # one stream's kb; the other active streams record 0
+                stream = (rng.choice(scps), rng.choice([1, 2]))
+                kb = rng.randrange(0, 2_000)
+                order = contract.stream_order
+                if stream not in order:
+                    raise InactiveScp(f"{stream[0]!r} has been removed from the register")
+                contract.record_traffic(owner, [kb if s == stream else 0 for s in order])
             elif action == "breach":
                 contract.throughput_breach(
                     owner, rng.choice(scps), rng.choice([1, 2]), rng.randrange(1, 800)

@@ -60,7 +60,7 @@ def test_withdrawal_pattern():
     scp = ledger.create_account(0, "scp-1")
     contract.register_scp(owner, scp, make_terms())
     contract.deposit(owner, 100_000)
-    contract.record_traffic(owner, [(scp, 1, 1000)])
+    contract.record_traffic(owner, [1000, 0])
     contract.close_period(owner)
     first = contract.withdraw(scp)
     assert first == 2000
@@ -68,7 +68,7 @@ def test_withdrawal_pattern():
         contract.withdraw(scp)
     assert ledger.balance(scp) == 2000  # funds moved exactly once
     # accrued credit still settles after the fail-safe
-    contract.record_traffic(owner, [(scp, 1, 500)])
+    contract.record_traffic(owner, [500, 0])
     contract.close_period(owner)
     contract.failsafe_disable(owner)
     assert contract.withdraw(scp) == 1000
@@ -124,6 +124,9 @@ def test_replay_determinism_large_scenario(tmp_path):
     csv_a = (tmp_path / "a" / REPORT_CSV).read_bytes()
     csv_b = (tmp_path / "b" / REPORT_CSV).read_bytes()
     assert csv_a == csv_b
+    # one kb value per stream and period: about 2.83 MB, where [label, qci, kb]
+    # triples made 10.04 MB
+    assert (tmp_path / "a" / TXLOG_FILE).stat().st_size < 3_000_000
     assert elapsed < 10.0, f"end-to-end took {elapsed:.1f}s (target < 10s)"
     passed(
         "replay determinism: identical digests and CSV bytes for "
@@ -193,14 +196,14 @@ def test_failsafe_semantics():
     scp = ledger.create_account(0, "scp-1")
     contract.register_scp(owner, scp, make_terms())
     contract.deposit(owner, 10_000)
-    contract.record_traffic(owner, [(scp, 1, 150)])  # accrues 300
+    contract.record_traffic(owner, [150, 0])  # accrues 300
     contract.close_period(owner)
     contract.failsafe_disable(owner)
 
     mutators = [
         lambda: contract.register_scp(owner, "x", make_terms()),
         lambda: contract.deposit(owner, 1),
-        lambda: contract.record_traffic(owner, [(scp, 1, 1)]),
+        lambda: contract.record_traffic(owner, [1, 0]),
         lambda: contract.throughput_breach(owner, scp, 1, 1),
         lambda: contract.close_period(owner),
     ]

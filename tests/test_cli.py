@@ -116,7 +116,7 @@ def test_replay_tampered_traffic_batch(config_file, tmp_path):
     lines = log.read_text().splitlines()
     i = next(i for i, line in enumerate(lines) if '"op": "record_traffic"' in line)
     entry = json.loads(lines[i])
-    entry["samples"][0][2] += 1
+    entry["kb"][0] += 1
     lines[i] = json.dumps(entry, sort_keys=True)
     log.write_text("\n".join(lines) + "\n")
     assert run_cli("replay", "--log", log) == EXIT_ABORT

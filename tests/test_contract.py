@@ -1,33 +1,38 @@
 """SLA contract state machine: registration, payouts, penalties, fail-safe."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_flat_terms, make_terms
 from slasim import EventKind, Ledger, SlaContract, SlaTerms
+from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_replay
 from slasim.errors import (
     AlreadyDisabled,
     AlreadyRegistered,
     ContractDisabled,
-    InactiveScp,
     InsufficientEscrowForAccrual,
     InsufficientFunds,
     NotDisabled,
     NothingToWithdraw,
     NotOwner,
-    UnknownQci,
-    UnknownScp,
     ZeroDeficit,
 )
 from slasim.report import rows_from_events
 from slasim.verify import registry_matches_events, strike_oracle_removal_period
 
 
+def status(contract, scp):
+    record = contract.registry[scp]
+    return record.active, record.credit, record.consecutive_strikes
+
+
 class TestRegistration:
     def test_fresh_record(self, world):
         _, contract, _, scp = world
-        assert contract.get_scp_status(scp) == (True, 0, 0)
+        assert status(contract, scp) == (True, 0, 0)
 
     def test_non_owner_rejected(self, world):
         ledger, contract, _, _ = world
@@ -47,9 +52,9 @@ class TestRegistration:
         for _ in range(3):
             contract.throughput_breach(owner, scp, 1, 10)
             contract.close_period(owner)
-        assert contract.get_scp_status(scp) == (False, -150, 3)
+        assert status(contract, scp) == (False, -150, 3)
         contract.register_scp(owner, scp, make_terms())
-        assert contract.get_scp_status(scp) == (True, 0, 0)
+        assert status(contract, scp) == (True, 0, 0)
         # the removed record is archived, not merged
         assert len(contract.archived) == 1
         assert contract.archived[0].credit == -150
@@ -82,13 +87,13 @@ class TestDeposit:
 class TestRecordTraffic:
     def test_zero_kb_succeeds(self, world):
         _, contract, owner, scp = world
-        contract.record_traffic(owner, [(scp, 1, 0)])
-        assert contract.registry[scp].served == {1: 0}
+        contract.record_traffic(owner, [0, 0])
+        assert contract.registry[scp].served == {1: 0, 5: 0}
 
     def test_accumulates_within_period(self, world):
         _, contract, owner, scp = world
-        contract.record_traffic(owner, [(scp, 1, 300)])
-        contract.record_traffic(owner, [(scp, 1, 700)])
+        contract.record_traffic(owner, [300, 0])
+        contract.record_traffic(owner, [700, 0])
         assert contract.registry[scp].served[1] == 1000
 
     def test_removed_scp_rejected(self, world):
@@ -96,66 +101,72 @@ class TestRecordTraffic:
         for _ in range(3):
             contract.throughput_breach(owner, scp, 1, 1)
             contract.close_period(owner)
-        with pytest.raises(InactiveScp):
-            contract.record_traffic(owner, [(scp, 1, 100)])
+        assert contract.stream_order == []
+        with pytest.raises(ValueError, match="expected 0 kb values"):
+            contract.record_traffic(owner, [100, 0])  # the removed streams
+        contract.record_traffic(owner, [])
+        assert contract.registry[scp].served == {}
 
     def test_unknown_scp(self, world):
         _, contract, owner, _ = world
-        with pytest.raises(UnknownScp):
-            contract.record_traffic(owner, [("ghost", 1, 100)])
+        with pytest.raises(ValueError, match="expected 2 kb values"):
+            contract.record_traffic(owner, [100, 0, 100, 0])  # and a ghost's two
 
     def test_undeclared_qci(self, world):
-        _, contract, owner, scp = world
-        with pytest.raises(UnknownQci):
-            contract.record_traffic(owner, [(scp, 9, 100)])
+        _, contract, owner, _ = world
+        with pytest.raises(ValueError, match="expected 2 kb values"):
+            contract.record_traffic(owner, [100, 0, 100])  # and a third QCI
 
 
 class TestRecordTrafficBatch:
     @pytest.fixture
     def two_scps(self, world):
-        """scp-1 active with some traffic this period; scp-2 removed."""
+        """scp-1 (QCIs 1 and 5) active with traffic this period; scp-2 (QCI 1) removed."""
         ledger, contract, owner, scp = world
         other = ledger.create_account(0, "scp-2")
-        contract.register_scp(owner, other, make_terms())
+        contract.register_scp(owner, other, make_terms(agreed_throughput={1: 1000},
+                                                       price_per_kb={1: 2}))
         for _ in range(3):
             contract.throughput_breach(owner, other, 1, 1)
             contract.close_period(owner)
-        contract.record_traffic(owner, [(scp, 1, 10)])
+        contract.record_traffic(owner, [10, 0])
         return ledger, contract, owner, scp
 
     @pytest.mark.parametrize(
         "bad, error",
         [
-            (("scp-1", 9, 100), UnknownQci),
-            (("scp-2", 1, 100), InactiveScp),
-            (("ghost", 1, 100), UnknownScp),
-            (("scp-1", 5, -1), ValueError),
-            # settlement is integer arithmetic; True == 1 passes a QCI lookup
-            (("scp-1", 1, 1.5), ValueError),
-            (("scp-1", True, 3), ValueError),
-            (("scp-1", 1, True), ValueError),
-            (("scp-1", 1.0, 3), ValueError),
+            ((100,), ValueError),  # one value short
+            ((100, 50, 100), ValueError),  # a value for removed scp-2
+            ((), ValueError),
+            ((100, -1), ValueError),
+            # settlement is integer arithmetic; True == 1 and 1.0 == 1
+            ((100, 1.5), ValueError),
+            ((True, 3), ValueError),
+            ((100, True), ValueError),
+            ((1.0, 3), ValueError),
         ],
     )
     def test_one_bad_sample_changes_nothing(self, two_scps, bad, error):
-        ledger, contract, owner, scp = two_scps
+        ledger, contract, owner, _ = two_scps
         served_before = {addr: dict(rec.served) for addr, rec in contract.registry.items()}
         logged_before = len(ledger.txlog)
         with pytest.raises(error):
-            contract.record_traffic(owner, [(scp, 1, 100), (scp, 5, 50), bad])
+            contract.record_traffic(owner, bad)
         assert {addr: rec.served for addr, rec in contract.registry.items()} == served_before
         assert len(ledger.txlog) == logged_before
 
     def test_owner_only_and_not_after_failsafe(self, world):
         _, contract, owner, scp = world
         with pytest.raises(NotOwner):
-            contract.record_traffic(scp, [(scp, 1, 100)])
+            contract.record_traffic(scp, [100, 0])
         contract.failsafe_disable(owner)
         with pytest.raises(ContractDisabled):
-            contract.record_traffic(owner, [(scp, 1, 100)])
+            contract.record_traffic(owner, [100, 0])
 
     def test_same_state_as_samples_one_by_one(self):
-        samples = [("scp-1", 1, 300), ("scp-1", 5, 40), ("scp-2", 1, 7), ("scp-1", 1, 700)]
+        """A vector records what its values record one call each."""
+        # stream order: (scp-1, 1), (scp-1, 5), (scp-2, 1), (scp-2, 5)
+        samples = [(0, 300), (1, 40), (2, 7), (0, 700)]
         states = []
         for batched in (True, False):
             ledger = Ledger()
@@ -164,11 +175,14 @@ class TestRecordTrafficBatch:
             for label in ("scp-1", "scp-2"):
                 contract.register_scp(owner, ledger.create_account(0, label), make_terms())
             contract.deposit(owner, 100_000)
+            vectors = [[0] * 4 for _ in samples]
+            for vector, (column, kb) in zip(vectors, samples):
+                vector[column] = kb
             if batched:
-                contract.record_traffic(owner, samples)
+                contract.record_traffic(owner, map(sum, zip(*vectors)))
             else:
-                for sample in samples:
-                    contract.record_traffic(owner, [sample])
+                for vector in vectors:
+                    contract.record_traffic(owner, vector)
             mid_period = ledger.canonical_state()
             contract.close_period(owner)
             states.append((mid_period, ledger.canonical_state()))
@@ -180,11 +194,92 @@ class TestRecordTrafficBatch:
 
     def test_log_keeps_no_reference_to_caller_lists(self, world):
         ledger, contract, owner, scp = world
-        samples = [[scp, 1, 100]]
-        contract.record_traffic(owner, samples)
-        samples[0][2] = 999
-        samples.append([scp, 5, 1])
-        assert ledger.txlog[-1]["samples"] == ((scp, 1, 100),)
+        kb = [100, 0]
+        contract.record_traffic(owner, kb)
+        kb[0] = 999
+        kb.append(1)
+        assert ledger.txlog[-1]["kb"] == (100, 0)
+
+
+def stream_world(stage):
+    """Two SCPs with 2 and 1 agreed QCIs, registered out of address order.
+
+    ``stage`` is ``fresh``, ``a-removed`` (scp-a struck out at its first
+    breach) or ``a-reregistered`` (scp-a back under QCIs 7 and 2).
+    """
+    ledger = Ledger()
+    owner = ledger.create_account(100_000, "mno")
+    contract = SlaContract(ledger, owner)
+    b = ledger.create_account(0, "scp-b")
+    a = ledger.create_account(0, "scp-a")
+    contract.register_scp(owner, b, make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2}))
+    contract.register_scp(owner, a, make_terms(strike_limit=1))
+    contract.deposit(owner, 100_000)
+    if stage != "fresh":
+        contract.throughput_breach(owner, a, 1, 1)
+        contract.close_period(owner)
+    if stage == "a-reregistered":
+        contract.register_scp(
+            owner, a, make_terms(agreed_throughput={7: 10, 2: 10}, price_per_kb={7: 1, 2: 1})
+        )
+    return ledger, contract, owner
+
+
+STREAM_ORDERS = [
+    ("fresh", [("scp-a", 1), ("scp-a", 5), ("scp-b", 1)]),
+    ("a-removed", [("scp-b", 1)]),
+    ("a-reregistered", [("scp-a", 2), ("scp-a", 7), ("scp-b", 1)]),
+]
+STAGES = [stage for stage, _ in STREAM_ORDERS]
+
+
+class TestStreamOrder:
+    @pytest.mark.parametrize("stage, order", STREAM_ORDERS, ids=STAGES)
+    def test_each_value_goes_to_its_stream(self, stage, order):
+        ledger, contract, owner = stream_world(stage)
+        assert contract.stream_order == order
+        contract.record_traffic(owner, range(1, len(order) + 1))
+        served = {
+            (addr, qci): kb
+            for addr, record in contract.registry.items()
+            for qci, kb in record.served.items()
+        }
+        assert served == {stream: i for i, stream in enumerate(order, start=1)}
+        assert ledger.txlog[-1]["kb"] == tuple(range(1, len(order) + 1))
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize(
+        "bad", ["short", "long", "bool", "float", "negative"]
+    )
+    def test_bad_vector_raises_and_changes_nothing(self, stage, bad):
+        ledger, contract, owner = stream_world(stage)
+        kb = [10] * len(contract.stream_order)
+        if bad == "short":
+            kb.pop()
+        elif bad == "long":
+            kb.append(10)
+        else:
+            kb[-1] = {"bool": True, "float": 10.0, "negative": -1}[bad]
+        state, logged = contract.canonical_state(), len(ledger.txlog)
+        with pytest.raises(ValueError):
+            contract.record_traffic(owner, kb)
+        assert contract.canonical_state() == state
+        assert len(ledger.txlog) == logged
+
+    def test_tampered_kb_fails_replay(self, tmp_path):
+        ledger, contract, owner = stream_world("a-reregistered")
+        contract.record_traffic(owner, [3, 4, 5])
+        contract.close_period(owner)
+        path = tmp_path / "log.jsonl"
+        ledger.export_txlog(path)
+        assert cmd_replay(str(path)) == EXIT_OK
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[-2])
+        assert entry["op"] == "record_traffic" and entry["kb"] == [3, 4, 5]
+        entry["kb"][0] += 1
+        lines[-2] = json.dumps(entry, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        assert cmd_replay(str(path)) == EXIT_ABORT
 
 
 class TestClosePeriod:
@@ -193,13 +288,13 @@ class TestClosePeriod:
         contract.close_period(owner)
         [event] = [e for e in ledger.events if e.kind is EventKind.PERIODIC_PAYOUT]
         assert event.payload_value("payout") == 0
-        assert contract.get_scp_status(scp) == (True, 0, 0)
+        assert status(contract, scp) == (True, 0, 0)
 
     def test_per_traffic_payout(self, world):
         _, contract, owner, scp = world
-        contract.record_traffic(owner, [(scp, 1, 1000)])  # price 2/kb
+        contract.record_traffic(owner, [1000, 0])  # price 2/kb
         contract.close_period(owner)
-        assert contract.get_scp_status(scp)[1] == 2000
+        assert contract.registry[scp].credit == 2000
 
     def test_flat_rate_ignores_traffic(self, ledger):
         owner = ledger.create_account(10_000, "mno")
@@ -207,13 +302,13 @@ class TestClosePeriod:
         scp = ledger.create_account(0, "scp-f")
         contract.register_scp(owner, scp, make_flat_terms(rate=500))
         contract.deposit(owner, 10_000)
-        contract.record_traffic(owner, [(scp, 1, 123_456)])
+        contract.record_traffic(owner, [123_456])
         contract.close_period(owner)
-        assert contract.get_scp_status(scp)[1] == 500
+        assert contract.registry[scp].credit == 500
 
     def test_accumulators_cleared(self, world):
         _, contract, owner, scp = world
-        contract.record_traffic(owner, [(scp, 1, 100)])
+        contract.record_traffic(owner, [100, 0])
         contract.close_period(owner)
         assert contract.registry[scp].served == {}
 
@@ -247,11 +342,11 @@ class TestClosePeriod:
         scp = ledger.create_account(0, "scp-1")
         contract.register_scp(owner, scp, make_terms())
         contract.deposit(owner, 100)
-        contract.record_traffic(owner, [(scp, 1, 1000)])  # would accrue 2000
+        contract.record_traffic(owner, [1000, 0])  # would accrue 2000
         with pytest.raises(InsufficientEscrowForAccrual):
             contract.close_period(owner)
-        assert contract.get_scp_status(scp) == (True, 0, 0)
-        assert contract.registry[scp].served == {1: 1000}
+        assert status(contract, scp) == (True, 0, 0)
+        assert contract.registry[scp].served == {1: 1000, 5: 0}
         assert ledger.current_period == 0
 
     def test_cover_counts_removed_archived_and_clamps_debt(self, ledger):
@@ -268,15 +363,17 @@ class TestClosePeriod:
         contract.register_scp(owner, b, make_terms(strike_limit=1))
         contract.register_scp(owner, c, make_terms())
         contract.deposit(owner, 3000)
-        contract.record_traffic(owner, [(a, 1, 1000)])  # price 2/kb: pays 2000
-        contract.record_traffic(owner, [(b, 1, 500)])  # pays 1000
+        # streams: (a, 1), (a, 5), (b, 1), (b, 5), (c, 1), (c, 5)
+        contract.record_traffic(owner, [1000, 0, 0, 0, 0, 0])  # price 2/kb: pays a 2000
+        contract.record_traffic(owner, [0, 0, 500, 0, 0, 0])  # pays b 1000
         contract.close_period(owner)
         for scp in (a, b):  # penalty 5/kb: debit 50, removed at the first strike
             contract.throughput_breach(owner, scp, 1, 10)
         contract.register_scp(owner, b, make_terms())  # archives b's credit 950
-        contract.record_traffic(owner, [(b, 1, 100)])  # the fresh record earns 200
+        # streams: (b, 1), (b, 5), (c, 1), (c, 5)
+        contract.record_traffic(owner, [100, 0, 0, 0])  # the fresh record earns 200
         contract.throughput_breach(owner, c, 1, 100)  # debit 500
-        contract.record_traffic(owner, [(c, 1, 50)])  # pays 100: -400 after close
+        contract.record_traffic(owner, [0, 0, 50, 0])  # pays 100: -400 after close
         owed = 1950 + 950 + 200  # removed a, archived b, active b; c counts 0
         contract.deposit(owner, owed - 1 - contract.escrow)
         before = (
@@ -297,7 +394,7 @@ class TestClosePeriod:
         contract.deposit(owner, 1)
         contract.close_period(owner)
         assert contract.escrow == owed
-        assert [contract.get_scp_status(scp)[:2] for scp in (a, b, c)] == [
+        assert [status(contract, scp)[:2] for scp in (a, b, c)] == [
             (False, 1950),
             (True, 200),
             (True, -400),
@@ -311,7 +408,7 @@ class TestThroughputBreach:
     def test_proportional_debit(self, world):
         _, contract, owner, scp = world  # penalty_rate (5, 1)
         contract.throughput_breach(owner, scp, 1, 10)
-        assert contract.get_scp_status(scp)[1] == -50
+        assert contract.registry[scp].credit == -50
 
     def test_floor_rounding(self, ledger):
         owner = ledger.create_account(10_000, "mno")
@@ -320,7 +417,7 @@ class TestThroughputBreach:
         contract.register_scp(owner, scp, make_terms(penalty_rate=(1, 3)))
         contract.deposit(owner, 10_000)
         contract.throughput_breach(owner, scp, 1, 10)
-        assert contract.get_scp_status(scp)[1] == -3  # floor(10/3)
+        assert contract.registry[scp].credit == -3  # floor(10/3)
 
     def test_zero_deficit_rejected(self, world):
         _, contract, owner, scp = world
@@ -345,9 +442,9 @@ class TestThroughputBreach:
         _, contract, owner, scp = world
         contract.throughput_breach(owner, scp, 1, 10)
         contract.throughput_breach(owner, scp, 5, 10)
-        assert contract.get_scp_status(scp)[2] == 1
+        assert contract.registry[scp].consecutive_strikes == 1
         # both debits applied even though only one strike
-        assert contract.get_scp_status(scp)[1] == -100
+        assert contract.registry[scp].credit == -100
 
     def test_clean_period_resets_counter(self, world):
         _, contract, owner, scp = world
@@ -368,7 +465,7 @@ class TestThroughputBreach:
         for _ in range(3):
             contract.throughput_breach(owner, scp, 1, 10)
             contract.close_period(owner)
-        active, credit, strikes = contract.get_scp_status(scp)
+        active, credit, strikes = status(contract, scp)
         assert (active, credit, strikes) == (False, -150, 3)
         removals = [e for e in ledger.events if e.kind is EventKind.SCP_REMOVED]
         assert [e.subject for e in removals] == [scp]
@@ -398,17 +495,17 @@ class TestWithdraw:
 
     def test_full_settlement(self, world):
         ledger, contract, owner, scp = world
-        contract.record_traffic(owner, [(scp, 1, 1000)])
+        contract.record_traffic(owner, [1000, 0])
         contract.close_period(owner)
         escrow_before = contract.escrow
         assert contract.withdraw(scp) == 2000
         assert ledger.balance(scp) == 2000
         assert contract.escrow == escrow_before - 2000
-        assert contract.get_scp_status(scp)[1] == 0
+        assert contract.registry[scp].credit == 0
 
     def test_second_withdraw_moves_nothing(self, world):
         ledger, contract, owner, scp = world
-        contract.record_traffic(owner, [(scp, 1, 1000)])
+        contract.record_traffic(owner, [1000, 0])
         contract.close_period(owner)
         contract.withdraw(scp)
         with pytest.raises(NothingToWithdraw):
@@ -421,10 +518,48 @@ class TestWithdraw:
         contract.close_period(owner)
         with pytest.raises(NothingToWithdraw):
             contract.withdraw(scp)
-        contract.record_traffic(owner, [(scp, 1, 100)])  # payout 200
+        contract.record_traffic(owner, [100, 0])  # payout 200
         contract.close_period(owner)
-        assert contract.get_scp_status(scp)[1] == 150  # 200 - 50
+        assert contract.registry[scp].credit == 150  # 200 - 50
         assert contract.withdraw(scp) == 150
+
+    def test_archived_credit_is_paid_and_nothing_is_stranded(self, world):
+        ledger, contract, owner, scp = world
+        other = ledger.create_account(0, "scp-2")
+        contract.register_scp(owner, other, make_terms(strike_limit=1))
+        contract.record_traffic(owner, [0, 0, 1000, 0])  # scp-2 earns 2000
+        contract.close_period(owner)
+        contract.throughput_breach(owner, other, 1, 1)  # debit 5, removed
+        assert status(contract, other) == (False, 1995, 1)
+        # back under another QCI set: the stream order and vector length follow
+        contract.register_scp(
+            owner, other, make_terms(agreed_throughput={2: 10}, price_per_kb={2: 3})
+        )
+        assert contract.stream_order == [(scp, 1), (scp, 5), (other, 2)]
+        contract.record_traffic(owner, [0, 0, 10])  # the fresh record earns 30
+        contract.close_period(owner)
+        contract.failsafe_disable(owner)
+        assert contract.withdraw(other) == 1995 + 30
+        assert [rec.credit for rec in contract.archived] == [0]
+        assert contract.positive_credit_sum() == 0
+        assert registry_matches_events(contract) is None
+        with pytest.raises(NothingToWithdraw):
+            contract.withdraw(other)
+        contract.recover_escrow(owner)
+        assert contract.escrow == 0
+        assert ledger.balance(other) == 2025
+
+    def test_archived_debt_stays_frozen(self, world):
+        ledger, contract, owner, scp = world
+        for _ in range(3):  # credit -150, removed
+            contract.throughput_breach(owner, scp, 1, 10)
+            contract.close_period(owner)
+        contract.register_scp(owner, scp, make_terms())
+        contract.record_traffic(owner, [100, 0])  # the fresh record earns 200
+        contract.close_period(owner)
+        assert contract.withdraw(scp) == 200  # not netted against the old debt
+        assert [rec.credit for rec in contract.archived] == [-150]
+        assert registry_matches_events(contract) is None
 
     @settings(max_examples=40, deadline=None)
     @given(kb=st.integers(min_value=0, max_value=5_000), double=st.booleans())
@@ -435,9 +570,9 @@ class TestWithdraw:
         scp = ledger.create_account(0, "scp-1")
         contract.register_scp(owner, scp, make_terms())
         contract.deposit(owner, 100_000)
-        contract.record_traffic(owner, [(scp, 1, kb)])
+        contract.record_traffic(owner, [kb, 0])
         contract.close_period(owner)
-        credit = contract.get_scp_status(scp)[1]
+        credit = contract.registry[scp].credit
         paid = 0
         for _ in range(2 if double else 1):
             try:
@@ -453,7 +588,7 @@ class TestFailSafe:
         _, contract, owner, scp = world
         contract.failsafe_disable(owner)
         with pytest.raises(ContractDisabled):
-            contract.record_traffic(owner, [(scp, 1, 100)])
+            contract.record_traffic(owner, [100, 0])
         with pytest.raises(ContractDisabled):
             contract.deposit(owner, 1)
         with pytest.raises(ContractDisabled):
@@ -471,7 +606,7 @@ class TestFailSafe:
 
     def test_withdraw_survives_disable(self, world):
         ledger, contract, owner, scp = world
-        contract.record_traffic(owner, [(scp, 1, 1000)])
+        contract.record_traffic(owner, [1000, 0])
         contract.close_period(owner)
         contract.failsafe_disable(owner)
         assert contract.withdraw(scp) == 2000
@@ -489,7 +624,7 @@ class TestFailSafe:
         scp = ledger.create_account(0, "scp-1")
         contract.register_scp(owner, scp, make_terms(price_per_kb={1: 3, 5: 1}))
         contract.deposit(owner, 1000)
-        contract.record_traffic(owner, [(scp, 1, 100)])  # accrues 300
+        contract.record_traffic(owner, [100, 0])  # accrues 300
         contract.close_period(owner)
         contract.failsafe_disable(owner)
         assert contract.recover_escrow(owner) == 700
@@ -523,7 +658,9 @@ class TestEventReconstruction:
         for period in range(6):
             for i, scp in enumerate(scps):
                 if contract.registry[scp].active:
-                    contract.record_traffic(owner, [(scp, 1, 100 * (i + 1))])
+                    kb = [100 * (i + 1) if (s, qci) == (scp, 1) else 0
+                          for s, qci in contract.stream_order]
+                    contract.record_traffic(owner, kb)
             if period % 2 == 0 and contract.registry[scps[0]].active:
                 contract.throughput_breach(owner, scps[0], 1, 20)
             if contract.registry[scps[1]].active:
@@ -534,7 +671,7 @@ class TestEventReconstruction:
 
     def test_reregistered_provider_matches_registry(self, world):
         ledger, contract, owner, scp = world
-        contract.record_traffic(owner, [(scp, 1, 100)])
+        contract.record_traffic(owner, [100, 0])
         contract.close_period(owner)
         for _ in range(3):
             contract.throughput_breach(owner, scp, 1, 10)

@@ -27,7 +27,7 @@ def busy_world():
     contract.register_scp(owner, scp, make_terms())
     contract.deposit(owner, 80_000)
     for period in range(4):
-        contract.record_traffic(owner, [(scp, 1, 500 + period)])
+        contract.record_traffic(owner, [500 + period, 0])
         if period == 2:
             contract.throughput_breach(owner, scp, 1, 40)
         contract.close_period(owner)
@@ -67,7 +67,7 @@ def test_tampered_amount_is_detected(tmp_path):
     for i, line in enumerate(lines[1:], start=1):
         entry = json.loads(line)
         if entry["op"] == "record_traffic":
-            entry["samples"][0][2] += 1
+            entry["kb"][0] += 1
             lines[i] = json.dumps(entry, sort_keys=True)
             break
     path.write_text("\n".join(lines) + "\n")
@@ -85,18 +85,20 @@ def every_op_world(ledger=None):
     contract.register_scp(owner, scp, make_terms())
     contract.register_scp(owner, other, make_flat_terms())
     contract.deposit(owner, 80_000)
+    # streams: (scp, 1), (scp, 5), (other, 1); "acct-0" sorts before "scp-2"
     for _ in range(3):  # scp breaches three periods running and is removed
-        contract.record_traffic(owner, [(scp, 1, 500)])
-        contract.record_traffic(owner, [(scp, 5, 200), (other, 1, 300)])
+        contract.record_traffic(owner, [500, 0, 0])
+        contract.record_traffic(owner, [0, 200, 300])
         contract.throughput_breach(owner, scp, 1, 40)
         contract.close_period(owner)
     contract.register_scp(owner, scp, make_terms(strike_limit=2))  # archives the old record
-    contract.record_traffic(owner, [(scp, 1, 100)])
+    contract.record_traffic(owner, [100, 0, 0])
     contract.close_period(owner)
     contract.withdraw(other)
     contract.failsafe_disable(owner)
-    contract.withdraw(scp)
+    contract.withdraw(scp)  # the fresh record's credit and the archived one's
     contract.recover_escrow(owner)
+    assert contract.escrow == 0
     return ledger
 
 
@@ -142,11 +144,11 @@ def test_wire_format_is_pinned(tmp_path):
     config.write_text(json.dumps(valid_dict()))
     out = tmp_path / "out"
     assert cmd_run(str(config), str(out)) == EXIT_OK
-    assert sha256_of(out / "txlog.jsonl") == "7afa456daaa6aa7c675d58f7e993bc6370df314bca5b97644478626b8fdd8565"
+    assert sha256_of(out / "txlog.jsonl") == "a83c247059e5faf59b9dccb066035629ba44560eaf3bf5d68fb41974fedb9a9a"
     assert sha256_of(out / "report.csv") == "31d8e3dfffd1fefa528ec5d864f2387b1fff5205e94ef8b4495db6a27f9143d1"
     assert json.loads((out / "report.json").read_text())["digest"] == "b3f0d5456e375c4d4fe52ed25a10f3c3ed5cce489dc00ca9084dca3d09e2ed65"
     every_op_world().export_txlog(tmp_path / "every_op.jsonl")
-    assert sha256_of(tmp_path / "every_op.jsonl") == "2d32424783aef5d32ac1b4a11f75bf3cb05ae6aaf7095a1904fc50a07c666382"
+    assert sha256_of(tmp_path / "every_op.jsonl") == "b6ad6281ed1a0d3f8d99e613fe145a6dbaa7a55dd15bd99d420d182d31abe531"
 
 
 def test_spooled_log_equals_listed_log(tmp_path):
@@ -239,7 +241,7 @@ def test_tampered_batch_kb_is_detected(tmp_path):
     for i, line in enumerate(lines[1:], start=1):
         entry = json.loads(line)
         if entry["op"] == "record_traffic":
-            entry["samples"][0][2] += 1
+            entry["kb"][0] += 1
             lines[i] = json.dumps(entry, sort_keys=True)
             break
     else:
@@ -249,9 +251,10 @@ def test_tampered_batch_kb_is_detected(tmp_path):
         replay_file(path)
 
 
+# the stream order holds scp-1's QCIs 1 and 5 once scp-2 is removed
 @pytest.mark.parametrize(
     "bad",
-    [["scp-1", 9, 100], ["scp-2", 1, 100], ["scp-1", 1, -1]],
+    [[100, 0, 100], [100, 0, 100, 0], [100, -1]],
     ids=["unknown-qci", "removed-scp", "negative-kb"],
 )
 def test_bad_batch_sample_rejected_on_replay(tmp_path, bad):
@@ -262,7 +265,7 @@ def test_bad_batch_sample_rejected_on_replay(tmp_path, bad):
         contract.register_scp(owner, ledger.create_account(0, label), make_terms())
     contract.deposit(owner, 80_000)
     for _ in range(3):  # scp-2 breaches three periods running and is removed
-        contract.record_traffic(owner, [("scp-1", 1, 500), ("scp-2", 1, 500)])
+        contract.record_traffic(owner, [500, 0, 500, 0])
         contract.throughput_breach(owner, "scp-2", 1, 40)
         contract.close_period(owner)
     path = tmp_path / "log.jsonl"
@@ -274,17 +277,15 @@ def test_bad_batch_sample_rejected_on_replay(tmp_path, bad):
             "op": "record_traffic",
             "contract": contract.id,
             "caller": owner,
-            "samples": [["scp-1", 1, 100], bad],
+            "kb": bad,
         }
     )
-    with pytest.raises(
-        MalformedLog, match=r"\(record_traffic\): (rejected on replay|bad fields)"
-    ):
+    with pytest.raises(MalformedLog, match=r"\(record_traffic\): bad fields"):
         replay_entries(entries)
 
 
-# 4.0 == 4 and True == 1 in Python, but the header fields are integers
-@pytest.mark.parametrize("version", [1, 2, 3, 4.0])
+# 5.0 == 5 and True == 1 in Python, but the header fields are integers
+@pytest.mark.parametrize("version", [1, 2, 3, 4.0, 4, 5.0])
 def test_old_log_version_rejected(tmp_path, version):
     path = tmp_path / "log.jsonl"
     busy_world().export_txlog(path)
@@ -293,8 +294,26 @@ def test_old_log_version_rejected(tmp_path, version):
     header["version"] = version
     lines[0] = json.dumps(header, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
-    expected = rf"unsupported log version {version} \(expected 4\)"
+    expected = rf"unsupported log version {version} \(expected 5\)"
     with pytest.raises(MalformedLog, match=expected):
+        replay_file(path)
+
+
+@pytest.mark.parametrize(
+    "extra", [{"entriez": 7}, {"extra": {"x": 1}}], ids=["misspelt-entries", "extra"]
+)
+def test_unknown_header_key_rejected_before_any_entry(tmp_path, extra):
+    path = tmp_path / "log.jsonl"
+    one_entry_world().export_txlog(path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header.update(extra)
+    lines[0] = json.dumps(header, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    [key] = extra
+    with pytest.raises(MalformedLog, match=f"unknown header key '{key}'"):
+        load_txlog(path)  # reads the header and no entry
+    with pytest.raises(MalformedLog, match=f"unknown header key '{key}'"):
         replay_file(path)
 
 
@@ -390,11 +409,12 @@ SCP_WORLD = WORLD + [
 @pytest.mark.parametrize(
     "entry",
     [
-        {"op": "record_traffic", "samples": [["scp-1", 1, 1.5]]},
-        {"op": "record_traffic", "samples": [["scp-1", True, 3]]},
+        {"op": "record_traffic", "kb": [1.5]},
+        {"op": "throughput_breach", "scp": "scp-1", "qci": True, "deficit": 3},
         {"op": "throughput_breach", "scp": "scp-1", "qci": 1, "deficit": 2.5},
+        {"op": "record_traffic", "kb": [True]},
     ],
-    ids=["float-kb", "bool-qci", "float-deficit"],
+    ids=["float-kb", "bool-qci", "float-deficit", "bool-kb"],
 )
 def test_non_integer_traffic_rejected(entry):
     entry = {"contract": "sla-0", "caller": "mno", **entry}

@@ -35,9 +35,9 @@ def scenario(num_periods=10, variability=(0, 1), degradations=(), nominal=1000,
 
 
 def only_kb(trace, period):
-    """The kb of a one-stream trace's only sample in ``period``."""
-    [(label, qci, kb)] = trace.period_slice(period)
-    assert (label, qci) == ("scp-1", 1)
+    """The kb of a one-stream trace's only stream in ``period``."""
+    assert trace.streams == [("scp-1", 1)]
+    [kb] = trace.periods[period]
     return kb
 
 
@@ -104,18 +104,22 @@ class TestGenerateTrace:
         )
         trace = generate_trace(config)
         keys = [(label, qci) for label in ("scp-a", "scp-b", "scp-c") for qci in (1, 5)]
-        for period in range(3):
-            assert [(label, qci) for label, qci, _ in trace.period_slice(period)] == keys
+        assert trace.streams == keys
+        assert [len(kb) for kb in trace.periods] == [len(keys)] * 3
+        # the trace order is the contract's stream order, so drive passes a
+        # period's values to record_traffic as they are
+        _, contract = setup_run(config)
+        assert contract.stream_order == keys
 
 
 class TestDetectBreaches:
     def test_exact_measure_is_not_a_breach(self):
         terms = {"scp-1": make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2})}
-        assert detect_breaches([("scp-1", 1, 1000)], terms) == []
+        assert detect_breaches([("scp-1", 1)], [1000], terms) == []
 
     def test_deficit_is_the_difference(self):
         terms = {"scp-1": make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2})}
-        assert detect_breaches([("scp-1", 1, 400)], terms) == [("scp-1", 1, 600)]
+        assert detect_breaches([("scp-1", 1)], [400], terms) == [("scp-1", 1, 600)]
 
     def test_mixed_slice_deterministic_order(self):
         # 3 SCPs x 2 QCIs, shortfalls only at (b, 1) and (a, 5); by hand:
@@ -123,17 +127,14 @@ class TestDetectBreaches:
             label: make_terms(agreed_throughput={1: 1000, 5: 500}, price_per_kb={1: 1, 5: 1})
             for label in ("a", "b", "c")
         }
-        period_slice = [
-            ("a", 1, 1000), ("a", 5, 100),
-            ("b", 1, 900), ("b", 5, 500),
-            ("c", 1, 1200), ("c", 5, 600),
-        ]
-        assert detect_breaches(period_slice, terms) == [("a", 5, 400), ("b", 1, 100)]
+        streams = [(label, qci) for label in ("a", "b", "c") for qci in (1, 5)]
+        kb = [1000, 100, 900, 500, 1200, 600]
+        assert detect_breaches(streams, kb, terms) == [("a", 5, 400), ("b", 1, 100)]
 
     def test_unknown_qci(self):
         terms = {"scp-1": make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2})}
         with pytest.raises(UnknownQci):
-            detect_breaches([("scp-1", 9, 100)], terms)
+            detect_breaches([("scp-1", 9)], [100], terms)
 
 
 class TestDrive:
@@ -156,7 +157,7 @@ class TestDrive:
         assert row.removal_period == 4  # breaches in periods 2, 3, 4
         # periods 5-9 hold no events: the frozen count is padded to the end
         assert row.strikes_timeline == [0, 0, 1, 2, 3, 3, 3, 3, 3, 3]
-        assert contract.get_scp_status("scp-1")[0] is False
+        assert contract.registry["scp-1"].active is False
         # removal happens before the period-4 close, so the last payout is period 3
         payouts = [e for e in ledger.events if e.kind is EventKind.PERIODIC_PAYOUT]
         assert max(e.period for e in payouts) == 3
@@ -186,7 +187,7 @@ class TestDrive:
         removed_at = None
         strikes = 0
         for period in range(20):
-            breaches = detect_breaches(trace.period_slice(period), terms)
+            breaches = detect_breaches(trace.streams, trace.periods[period], terms)
             if removed_at is None:
                 expected += len(breaches)
                 if breaches:
@@ -199,6 +200,34 @@ class TestDrive:
         drive(ledger, contract, config)
         fired = [e for e in ledger.events if e.kind is EventKind.INSUFFICIENT_THROUGHPUT]
         assert len(fired) == expected
+
+    def test_removed_streams_leave_the_vector(self):
+        """After a removal each entry holds the trace values of the active streams."""
+        config = scenario(variability=(1, 4), agreed=1000, num_periods=30)
+        for label in ("scp-0", "scp-2"):  # never breach
+            config.scps.append(
+                ScpScenario(
+                    label=label,
+                    terms=make_terms(agreed_throughput={1: 0, 5: 0}, penalty_rate=(1, 1)),
+                    traffic={q: TrafficModel(nominal_kb=100 * q, variability=(1, 2))
+                             for q in (1, 5)},
+                )
+            )
+        trace = generate_trace(config)
+        ledger, contract = setup_run(config)
+        report = drive(ledger, contract, config, trace=trace)
+        removed = report.rows["scp-1"].removal_period
+        assert removed is not None and removed < 25
+        vectors = [entry["kb"] for entry in ledger.txlog if entry["op"] == "record_traffic"]
+        assert len(vectors) == 30
+        for period, kb in enumerate(vectors):
+            expected = [
+                value
+                for (label, _), value in zip(trace.streams, trace.periods[period])
+                if label != "scp-1" or period <= removed
+            ]
+            assert kb == tuple(expected)
+        assert registry_matches_events(contract) is None
 
     def test_run_twice_identical_reports(self):
         config = scenario(variability=(1, 3), agreed=950, num_periods=25)
