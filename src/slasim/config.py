@@ -31,6 +31,7 @@ A scenario file is a single JSON object:
 Every QCI agreed in an SCP's ``terms`` needs a ``traffic`` stream and every
 stream's QCI must be agreed in ``terms``: an unmonitored QCI could never
 breach, so such a scenario is rejected at load.
+Keys not shown above are rejected with their path rather than ignored.
 Rationals are [numerator, denominator] pairs of non-negative integers.
 Degradation windows are inclusive on both ends and multipliers compose
 multiplicatively with floor rounding.  QCI profiles are informational
@@ -192,6 +193,15 @@ def _check_fraction(value, name: str) -> None:
         raise InvalidConfig(f"{name}: {num}/{den} is not a rational in [0, 1]")
 
 
+def _check_known(raw: dict, known: Tuple[str, ...], where: str) -> None:
+    """Reject a key ``known`` does not list: a misspelt key is not a default."""
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{where.rstrip('.')}: must be an object")
+    for key in raw:
+        if key not in known:
+            raise InvalidConfig(f"{where}{key}: unknown field")
+
+
 def _pair(value):
     """A JSON array as a tuple; any other value is left for ``_check_fraction``."""
     return tuple(value) if isinstance(value, list) else value
@@ -206,8 +216,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     for key in ("scps", "qci_profiles"):
         if not isinstance(data.get(key, []), list):
             raise InvalidConfig(f"{key}: must be an array")
+    _check_known(data, ("seed", "num_periods", "escrow_deposit", "scps", "qci_profiles"), "")
     profiles = []
     for i, raw in enumerate(data.get("qci_profiles", [])):
+        known = ("qci", "priority", "packet_delay_budget_ms", "packet_loss_rate")
+        _check_known(raw, known, f"qci_profiles[{i}].")
         try:
             profiles.append(
                 QciProfile(
@@ -227,6 +240,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         for key in ("label", "terms", "traffic"):
             if key not in raw:
                 raise InvalidConfig(f"{where}.{key}: missing required field")
+        _check_known(raw, ("label", "terms", "traffic"), f"{where}.")
         try:
             terms = SlaTerms.from_dict(raw["terms"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -244,9 +258,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 raise InvalidConfig(f"{twhere}.nominal_kb: missing required field")
             if not isinstance(tm.get("degradations", []), list):
                 raise InvalidConfig(f"{twhere}.degradations: must be an array")
+            _check_known(tm, ("nominal_kb", "variability", "degradations"), f"{twhere}.")
             degradations = []
             for j, w in enumerate(tm.get("degradations", [])):
                 wwhere = f"{twhere}.degradations[{j}]"
+                _check_known(w, ("start", "end", "multiplier"), f"{wwhere}.")
                 try:
                     degradations.append(
                         DegradationWindow(

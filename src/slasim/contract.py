@@ -27,7 +27,7 @@ fund conservation on the ledger is structural, not bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (
@@ -139,6 +139,12 @@ class SlaTerms:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SlaTerms":
+        if not isinstance(data, dict):
+            raise ValueError(f"must be a JSON object, got {data!r}")
+        known = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in known:
+                raise ValueError(f"{key}: unknown field")
         terms = cls(
             payment_mode=data["payment_mode"],
             agreed_throughput=_qci_map(data["agreed_throughput"], "agreed_throughput"),

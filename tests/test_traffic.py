@@ -1,6 +1,8 @@
 """Monitoring simulator: trace generation, breach detection, scenario driving."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_terms
 from slasim import (
@@ -16,6 +18,8 @@ from slasim import (
 )
 from slasim.cli import setup_run
 from slasim.errors import UnknownQci
+from slasim.rng import splitmix64, stream_key
+from slasim.traffic import agreed_levels
 from slasim.verify import registry_matches_events
 
 
@@ -112,14 +116,130 @@ class TestGenerateTrace:
         assert contract.stream_order == keys
 
 
+def reference_trace(config):
+    """The trace as a per-sample loop builds it: one scalar draw per value.
+
+    ``generate_trace`` evaluates a period's draws lane-parallel instead; this
+    is the loop it replaced, kept as the oracle it must equal.
+    """
+    streams = []
+    for scp_index, scp in enumerate(config.scps):
+        for qci in sorted(scp.traffic):
+            model = scp.traffic[qci]
+            vnum, vden = model.variability
+            lo = model.nominal_kb * (vden - vnum) // vden
+            hi = model.nominal_kb * (vden + vnum) // vden
+            key = stream_key(config.seed, scp_index, qci)
+            streams.append((scp.label, qci, key, lo, hi, model.degradations))
+    streams.sort(key=lambda stream: stream[:2])
+    periods = []
+    for period in range(config.num_periods):
+        values = []
+        for _, _, key, lo, hi, windows in streams:
+            if lo == hi:
+                value = lo
+            else:
+                value = lo + splitmix64(key ^ period) % (hi - lo + 1)
+            for window in windows:
+                if window.start <= period <= window.end:
+                    mnum, mden = window.multiplier
+                    value = value * mnum // mden
+            values.append(value)
+        periods.append(values)
+    return [(label, qci) for label, qci, *_ in streams], periods
+
+
+def assert_matches_reference(config):
+    trace = generate_trace(config)
+    streams, periods = reference_trace(config)
+    assert trace.streams == streams
+    assert [list(kb) for kb in trace.periods] == periods
+
+
+def provider(label, traffic):
+    """An SCP whose terms agree every QCI of ``traffic``, at level 0."""
+    terms = make_terms(agreed_throughput=dict.fromkeys(traffic, 0),
+                       price_per_kb=dict.fromkeys(traffic, 1))
+    return ScpScenario(label=label, terms=terms, traffic=traffic)
+
+
+def multi_stream_scenario(num_periods=12):
+    """Three providers, listed out of label order, with every window shape."""
+    last = num_periods - 1
+    return ScenarioConfig(
+        seed=2**64 - 1,
+        num_periods=num_periods,
+        escrow_deposit=10**9,
+        scps=[
+            provider("scp-c", {
+                # lo == hi: every value is the nominal, bar the windows
+                1: TrafficModel(nominal_kb=1000, degradations=[
+                    DegradationWindow(0, 0, (1, 2)), DegradationWindow(last, last, (2, 3))]),
+                5: TrafficModel(nominal_kb=777, variability=(1, 1), degradations=[
+                    DegradationWindow(2, 6, (1, 3)), DegradationWindow(4, 9, (2, 7)),
+                    DegradationWindow(5, 5, (0, 1))]),
+            }),
+            provider("scp-a", {
+                1: TrafficModel(nominal_kb=0, variability=(1, 2)),
+                5: TrafficModel(nominal_kb=2**62 - 1, variability=(1, 10), degradations=[
+                    DegradationWindow(0, last, (5, 7)), DegradationWindow(3, 3, (1, 1))]),
+                9: TrafficModel(nominal_kb=3, variability=(2, 3)),
+            }),
+            provider("scp-b", {
+                1: TrafficModel(nominal_kb=1000, variability=(1, 20), degradations=[
+                    DegradationWindow(last, last, (0, 1)), DegradationWindow(1, last, (9, 10))]),
+            }),
+        ],
+    )
+
+
+FRACTIONS = st.integers(1, 6).flatmap(lambda den: st.tuples(st.integers(0, den), st.just(den)))
+
+
+@st.composite
+def scenarios(draw):
+    num_periods = draw(st.integers(1, 12))
+    bound = st.integers(0, num_periods - 1)
+    windows = st.lists(
+        st.builds(lambda a, b, m: DegradationWindow(min(a, b), max(a, b), m),
+                  bound, bound, FRACTIONS),
+        max_size=3,
+    )
+    traffic = st.dictionaries(
+        st.integers(0, 9),
+        st.builds(TrafficModel, nominal_kb=st.integers(0, 2**62 - 1), variability=FRACTIONS,
+                  degradations=windows),
+        min_size=1, max_size=3,
+    )
+    # labels drawn in any order, so the trace must sort them
+    order = draw(st.permutations(range(draw(st.integers(1, 4)))))
+    return ScenarioConfig(seed=draw(st.integers(0, 2**64 - 1)), num_periods=num_periods,
+                          escrow_deposit=0,
+                          scps=[provider(f"scp-{name}", draw(traffic)) for name in order])
+
+
+class TestTraceOracle:
+    def test_every_window_shape_matches_the_per_sample_loop(self):
+        config = multi_stream_scenario()
+        assert_matches_reference(config)
+        # the scenario does reach the cases it is there for
+        trace = generate_trace(config)
+        at = dict(zip(trace.streams, zip(*trace.periods)))
+        assert at[("scp-c", 1)] == (500,) + (1000,) * 10 + (666,)
+        assert at[("scp-c", 5)][5] == 0 and at[("scp-b", 1)][-1] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=scenarios())
+    def test_random_scenarios_match_the_per_sample_loop(self, config):
+        assert_matches_reference(config)
+
+
 class TestDetectBreaches:
     def test_exact_measure_is_not_a_breach(self):
-        terms = {"scp-1": make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2})}
-        assert detect_breaches([("scp-1", 1)], [1000], terms) == []
+        assert detect_breaches([("scp-1", 1)], [1000], [1000]) == []
 
     def test_deficit_is_the_difference(self):
-        terms = {"scp-1": make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2})}
-        assert detect_breaches([("scp-1", 1)], [400], terms) == [("scp-1", 1, 600)]
+        assert detect_breaches([("scp-1", 1)], [400], [1000]) == [("scp-1", 1, 600)]
 
     def test_mixed_slice_deterministic_order(self):
         # 3 SCPs x 2 QCIs, shortfalls only at (b, 1) and (a, 5); by hand:
@@ -128,13 +248,16 @@ class TestDetectBreaches:
             for label in ("a", "b", "c")
         }
         streams = [(label, qci) for label in ("a", "b", "c") for qci in (1, 5)]
+        agreed = agreed_levels(streams, terms)
+        assert agreed == [1000, 500] * 3
         kb = [1000, 100, 900, 500, 1200, 600]
-        assert detect_breaches(streams, kb, terms) == [("a", 5, 400), ("b", 1, 100)]
+        assert detect_breaches(streams, kb, agreed) == [("a", 5, 400), ("b", 1, 100)]
 
     def test_unknown_qci(self):
+        # the agreed row is built once per drive, and it names the stream
         terms = {"scp-1": make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2})}
-        with pytest.raises(UnknownQci):
-            detect_breaches([("scp-1", 9)], [100], terms)
+        with pytest.raises(UnknownQci, match="QCI 9"):
+            agreed_levels([("scp-1", 1), ("scp-1", 9)], terms)
 
 
 class TestDrive:
@@ -182,12 +305,12 @@ class TestDrive:
     def test_breach_event_count_matches_detection(self):
         config = scenario(variability=(1, 4), agreed=1000, num_periods=20)
         trace = generate_trace(config)
-        terms = {"scp-1": config.scps[0].terms}
+        agreed = agreed_levels(trace.streams, {"scp-1": config.scps[0].terms})
         expected = 0
         removed_at = None
         strikes = 0
         for period in range(20):
-            breaches = detect_breaches(trace.streams, trace.periods[period], terms)
+            breaches = detect_breaches(trace.streams, trace.periods[period], agreed)
             if removed_at is None:
                 expected += len(breaches)
                 if breaches:
