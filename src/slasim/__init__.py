@@ -1,14 +1,16 @@
 """Deterministic simulator of SLA smart contracts for small-cell RAN sharing."""
 
-from .contract import FLAT_RATE, PER_TRAFFIC, ScpRecord, SlaContract, SlaTerms
 from .config import (
+    FLAT_RATE,
+    PER_TRAFFIC,
     DegradationWindow,
-    QciProfile,
     ScenarioConfig,
     ScpScenario,
+    SlaTerms,
     TrafficModel,
     load_config,
 )
+from .contract import ScpRecord, SlaContract
 from .ledger import EventKind, EventRecord, Ledger
 from .report import RunReport, ScpRow
 from .traffic import TrafficTrace, detect_breaches, drive, generate_trace
@@ -22,7 +24,6 @@ __all__ = [
     "FLAT_RATE",
     "Ledger",
     "PER_TRAFFIC",
-    "QciProfile",
     "RunReport",
     "ScenarioConfig",
     "ScpRecord",

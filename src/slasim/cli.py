@@ -63,10 +63,7 @@ def setup_run(
 
 def cmd_run(config_path: str, out_dir: str, seed: Optional[int] = None) -> int:
     try:
-        config = load_config(config_path)
-        if seed is not None:
-            config.seed = seed
-            config.validate()
+        config = load_config(config_path, seed)
     except InvalidConfig as exc:
         _diag(f"invalid config: {exc}")
         return EXIT_INVALID

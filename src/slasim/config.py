@@ -1,4 +1,4 @@
-"""Scenario configuration: dataclasses, JSON schema, validating loader.
+"""The program's JSON records: scenarios and SLA terms, read, checked, echoed.
 
 A scenario file is a single JSON object:
 
@@ -6,10 +6,6 @@ A scenario file is a single JSON object:
       "seed": 42,
       "num_periods": 100,
       "escrow_deposit": 1000000,
-      "qci_profiles": [
-        {"qci": 1, "priority": 2, "packet_delay_budget_ms": 100,
-         "packet_loss_rate": [1, 100]}
-      ],
       "scps": [
         {
           "label": "scp-001",
@@ -28,267 +24,290 @@ A scenario file is a single JSON object:
       ]
     }
 
-Every QCI agreed in an SCP's ``terms`` needs a ``traffic`` stream and every
-stream's QCI must be agreed in ``terms``: an unmonitored QCI could never
-breach, so such a scenario is rejected at load.
-Keys not shown above are rejected with their path rather than ignored.
+The dataclass fields below are the schema.  A field's name is its JSON key,
+its default is the value of a missing key, and its ``metadata["check"]``
+reads one JSON value and names the field's path in any error.  ``read``
+builds a record from that table and rejects a key the table does not define;
+``to_json`` echoes a record field by field.  The rules that span a
+scenario's fields run once, in ``config_from_dict``: labels are unique, every
+QCI agreed in an SCP's ``terms`` has a ``traffic`` stream and every stream's
+QCI is agreed (an unmonitored QCI could never breach), and degradation
+windows lie inside ``[0, num_periods)``.  The terms' own rule, that a
+per-traffic price list covers exactly the agreed QCIs, runs when
+``SlaTerms`` is built.
 Rationals are [numerator, denominator] pairs of non-negative integers.
 Degradation windows are inclusive on both ends and multipliers compose
-multiplicatively with floor rounding.  QCI profiles are informational
-metadata; they never enter settlement arithmetic.
+multiplicatively with floor rounding.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import MISSING, dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .contract import SlaTerms, qci_from_key
 from .errors import InvalidConfig
 
 Rational = Tuple[int, int]
+Check = Callable[[object, str], object]  # (JSON value, its path) -> field value
+
+PER_TRAFFIC = "per_traffic"
+FLAT_RATE = "flat_rate"
 
 
-@dataclass(frozen=True)
-class QciProfile:
-    qci: int
-    priority: int
-    packet_delay_budget_ms: int
-    packet_loss_rate: Rational
+def read(cls, raw: object, where: str = ""):
+    """Build a ``cls`` record from the JSON object ``raw`` through its field table.
+
+    ``where`` prefixes each field's path: ``""`` at top level, ``"scps[0]."``
+    inside a scenario, ``"scps[0].terms: "`` for terms, whose messages read as
+    replay's do.
+    """
+    if type(raw) is not dict:  # a string is iterable: never read it as keys
+        raise InvalidConfig(f"{where or 'top level: '}must be a JSON object")
+    table = cls.__dataclass_fields__
+    if not raw.keys() <= table.keys():
+        unknown = next(key for key in raw if key not in table)
+        raise InvalidConfig(f"{where}{unknown}: unknown field")
+    values = {}
+    for name, spec in table.items():
+        if name in raw:
+            values[name] = spec.metadata["check"](raw[name], where + name)
+        elif spec.default is MISSING and spec.default_factory is MISSING:
+            raise InvalidConfig(f"{where}{name}: missing required field")
+    try:
+        return cls(**values)
+    except InvalidConfig as exc:  # a rule across the record's own fields
+        raise InvalidConfig(f"{where}{exc}") from None
+
+
+def to_json(value):
+    """A record's JSON echo: fields by name, QCI keys as strings, pairs as arrays."""
+    kind = type(value)
+    if kind is int or kind is str:
+        return value
+    if kind is dict:
+        return {str(key): to_json(item) for key, item in value.items()}
+    if kind is list or kind is tuple:
+        return list(map(to_json, value))
+    table = getattr(kind, "__dataclass_fields__", None)
+    if table is None:
+        return value
+    return {name: to_json(getattr(value, name)) for name in table}
+
+
+def _checked(check: Check, **default):
+    """A field read by ``check``; ``default`` is a ``default=`` or ``default_factory=``."""
+    return field(metadata={"check": check}, **default)
+
+
+def _uint(bits: Optional[int] = None, least: int = 0) -> Check:
+    """An ``int``, never a ``bool``: at least ``least`` and, given ``bits``, below 2**bits."""
+
+    def check(value, path):
+        if type(value) is not int or value < least:
+            bound = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+            raise InvalidConfig(f"{path}: must be {bound}, got {value!r}")
+        if bits is not None and value >> bits:
+            raise InvalidConfig(f"{path}: does not fit in {bits} bits")
+        return value
+
+    return check
+
+
+def _ratio(at_most_one: bool) -> Check:
+    """A [numerator, denominator] pair of ``int``s with num >= 0 < den, read as a tuple."""
+    span = "[0, 1]" if at_most_one else "[0, inf)"
+
+    def check(value, path):
+        num, den = value if type(value) in (list, tuple) and len(value) == 2 else (None, None)
+        if type(num) is not int or type(den) is not int:
+            raise InvalidConfig(f"{path}: must be a [numerator, denominator] pair")
+        if den <= 0 or num < 0 or (at_most_one and num > den):
+            raise InvalidConfig(f"{path}: {num}/{den} is not a rational in {span}")
+        return (num, den)
+
+    return check
+
+
+def _one_of(*choices: str) -> Check:
+    def check(value, path):
+        if value not in choices:
+            raise InvalidConfig(f"{path}: must be one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    return check
+
+
+def _label(value, path):
+    if type(value) is not str or not value:
+        raise InvalidConfig(f"{path}: must be a non-empty string")
+    return value
+
+
+def _object(value, path) -> dict:
+    if type(value) is not dict:
+        raise InvalidConfig(f"{path}: must be an object")
+    return value
+
+
+def _array(check: Check, nonempty: bool = False) -> Check:
+    def read_array(value, path):
+        if type(value) is not list:
+            raise InvalidConfig(f"{path}: must be an array")
+        if nonempty and not value:
+            raise InvalidConfig(f"{path}: must not be empty")
+        return [check(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+    return read_array
+
+
+def qci_from_key(key: str, name: str) -> int:
+    """The QCI number a per-QCI JSON object key names.
+
+    Only the canonical decimal form of a non-negative number is read ("1",
+    never "01", " 1", "+1", "1_0" or "-1"), so two keys of one object cannot
+    name the same QCI.
+    """
+    try:
+        qci = int(key)
+    except (TypeError, ValueError):
+        qci = None
+    if qci is None or qci < 0 or str(qci) != key:
+        raise InvalidConfig(f"{name}: QCI key {key!r} is not a canonical non-negative integer")
+    return qci
+
+
+def _by_qci(check: Check, keys_name_items: bool = False) -> Check:
+    """A JSON object keyed by QCI, each value read by ``check`` as ``path.key``.
+
+    A bad key names the map, as one term; with ``keys_name_items`` it names
+    its own entry, as a traffic stream.
+    """
+
+    def read_map(value, path):
+        mapping = {}
+        for key, item in _object(value, path).items():
+            entry = f"{path}.{key}"
+            if type(key) is not int or key < 0:  # a QCI this returned is kept
+                key = qci_from_key(key, entry if keys_name_items else path)
+            mapping[key] = check(item, entry)
+        return mapping
+
+    return read_map
+
+
+def _record(cls) -> Check:
+    """A JSON object read as a ``cls`` record whose fields are named ``path.field``."""
+    return lambda value, path: read(cls, _object(value, path), f"{path}.")
+
+
+def _terms(value, path):
+    return read(SlaTerms, value, f"{path}: ")
 
 
 @dataclass(frozen=True)
 class DegradationWindow:
-    start: int
-    end: int  # inclusive
-    multiplier: Rational
+    start: int = _checked(_uint())
+    end: int = _checked(_uint())  # inclusive
+    multiplier: Rational = _checked(_ratio(at_most_one=True))
 
 
 @dataclass
 class TrafficModel:
-    nominal_kb: int
-    variability: Rational = (0, 1)
-    degradations: List[DegradationWindow] = field(default_factory=list)
+    # a sample, at most twice nominal_kb, is kept in a signed 64-bit slot
+    nominal_kb: int = _checked(_uint(bits=62))
+    variability: Rational = _checked(_ratio(at_most_one=True), default=(0, 1))
+    degradations: List[DegradationWindow] = _checked(
+        _array(_record(DegradationWindow)), default_factory=list
+    )
+
+
+@dataclass
+class SlaTerms:
+    """Commercial terms of one provider's agreement.
+
+    ``penalty_rate`` is a rational (numerator, denominator): monetary units
+    debited per kb/period of throughput deficit, floor-rounded.  Every amount,
+    rate and limit is an ``int``, never a float or a ``bool``.
+    """
+
+    payment_mode: str = _checked(_one_of(PER_TRAFFIC, FLAT_RATE))
+    agreed_throughput: Dict[int, int] = _checked(_by_qci(_uint()))
+    price_per_kb: Dict[int, int] = _checked(_by_qci(_uint()), default_factory=dict)
+    flat_rate_per_period: int = _checked(_uint(), default=0)
+    penalty_rate: Rational = _checked(_ratio(at_most_one=False), default=(1, 1))
+    strike_limit: int = _checked(_uint(least=1), default=3)
+
+    def __post_init__(self) -> None:
+        if not self.agreed_throughput:
+            raise InvalidConfig("agreed_throughput must declare at least one QCI")
+        if self.payment_mode == PER_TRAFFIC and self.price_per_kb.keys() != (
+            self.agreed_throughput.keys()
+        ):
+            raise InvalidConfig("price_per_kb and agreed_throughput must share one QCI set")
+
+    def validate(self) -> None:
+        """Check terms built in Python, not read: each field's check must return it unchanged.
+
+        The checks of these fields also accept the values they return.
+        """
+        for name, value in vars(self).items():
+            if self.__dataclass_fields__[name].metadata["check"](value, name) != value:
+                raise InvalidConfig(f"{name}: {value!r} is not the value it is read as")
+        self.__post_init__()
+
+    def penalty_debit(self, deficit_kbps: int) -> int:
+        num, den = self.penalty_rate
+        return num * deficit_kbps // den
 
 
 @dataclass
 class ScpScenario:
-    label: str
-    terms: SlaTerms
-    traffic: Dict[int, TrafficModel]
+    label: str = _checked(_label)
+    terms: SlaTerms = _checked(_terms)
+    traffic: Dict[int, TrafficModel] = _checked(
+        _by_qci(_record(TrafficModel), keys_name_items=True)
+    )
 
 
 @dataclass
 class ScenarioConfig:
-    seed: int
-    num_periods: int
-    escrow_deposit: int
-    scps: List[ScpScenario]
-    qci_profiles: List[QciProfile] = field(default_factory=list)
-
-    def validate(self) -> None:
-        _check_uint(self.seed, "seed", bits=64)
-        _check_uint(self.num_periods, "num_periods")
-        _check_uint(self.escrow_deposit, "escrow_deposit")
-        for i, profile in enumerate(self.qci_profiles):
-            for name in ("qci", "priority", "packet_delay_budget_ms"):
-                _check_uint(getattr(profile, name), f"qci_profiles[{i}].{name}")
-            _check_fraction(profile.packet_loss_rate, f"qci_profiles[{i}].packet_loss_rate")
-        if not self.scps:
-            raise InvalidConfig("scps: at least one provider is required")
-        seen = set()
-        for i, scp in enumerate(self.scps):
-            where = f"scps[{i}]"
-            if not scp.label or not isinstance(scp.label, str):
-                raise InvalidConfig(f"{where}.label: must be a non-empty string")
-            if scp.label in seen:
-                raise InvalidConfig(f"{where}.label: duplicate label {scp.label!r}")
-            seen.add(scp.label)
-            try:
-                scp.terms.validate()
-            except ValueError as exc:
-                raise InvalidConfig(f"{where}.terms: {exc}") from exc
-            unmonitored = sorted(set(scp.terms.agreed_throughput) - set(scp.traffic))
-            if unmonitored:
-                raise InvalidConfig(
-                    f"{where}.traffic: {scp.label!r} agrees QCIs {unmonitored} with "
-                    f"no traffic stream; an unmonitored QCI can never breach"
-                )
-            for qci, model in scp.traffic.items():
-                twhere = f"{where}.traffic.{qci}"
-                if qci not in scp.terms.agreed_throughput:
-                    raise InvalidConfig(f"{twhere}: QCI not declared in terms")
-                # a sample is at most twice nominal_kb and the trace keeps
-                # samples in signed 64-bit slots
-                _check_uint(model.nominal_kb, f"{twhere}.nominal_kb", bits=62)
-                _check_fraction(model.variability, f"{twhere}.variability")
-                for j, window in enumerate(model.degradations):
-                    wwhere = f"{twhere}.degradations[{j}]"
-                    _check_uint(window.start, f"{wwhere}.start")
-                    _check_uint(window.end, f"{wwhere}.end")
-                    if not (0 <= window.start <= window.end < self.num_periods):
-                        raise InvalidConfig(
-                            f"{wwhere}: window [{window.start}, {window.end}] outside "
-                            f"[0, {self.num_periods})"
-                        )
-                    _check_fraction(window.multiplier, f"{wwhere}.multiplier")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "num_periods": self.num_periods,
-            "escrow_deposit": self.escrow_deposit,
-            "qci_profiles": [
-                {
-                    "qci": p.qci,
-                    "priority": p.priority,
-                    "packet_delay_budget_ms": p.packet_delay_budget_ms,
-                    "packet_loss_rate": list(p.packet_loss_rate),
-                }
-                for p in self.qci_profiles
-            ],
-            "scps": [
-                {
-                    "label": scp.label,
-                    "terms": scp.terms.to_dict(),
-                    "traffic": {
-                        str(qci): {
-                            "nominal_kb": model.nominal_kb,
-                            "variability": list(model.variability),
-                            "degradations": [
-                                {
-                                    "start": w.start,
-                                    "end": w.end,
-                                    "multiplier": list(w.multiplier),
-                                }
-                                for w in model.degradations
-                            ],
-                        }
-                        for qci, model in sorted(scp.traffic.items())
-                    },
-                }
-                for scp in self.scps
-            ],
-        }
+    seed: int = _checked(_uint(bits=64))
+    num_periods: int = _checked(_uint())
+    escrow_deposit: int = _checked(_uint())
+    scps: List[ScpScenario] = _checked(_array(_record(ScpScenario), nonempty=True))
 
 
-def _check_uint(value, name: str, bits: Optional[int] = None) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise InvalidConfig(f"{name}: must be a non-negative integer, got {value!r}")
-    if bits is not None and value >= (1 << bits):
-        raise InvalidConfig(f"{name}: does not fit in {bits} bits")
-
-
-def _check_fraction(value, name: str) -> None:
-    # rational in [0, 1]
-    if (
-        not isinstance(value, (tuple, list))
-        or len(value) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in value)
-    ):
-        raise InvalidConfig(f"{name}: must be a [numerator, denominator] pair")
-    num, den = value
-    if den <= 0 or num < 0 or num > den:
-        raise InvalidConfig(f"{name}: {num}/{den} is not a rational in [0, 1]")
-
-
-def _check_known(raw: dict, known: Tuple[str, ...], where: str) -> None:
-    """Reject a key ``known`` does not list: a misspelt key is not a default."""
-    if not isinstance(raw, dict):
-        raise InvalidConfig(f"{where.rstrip('.')}: must be an object")
-    for key in raw:
-        if key not in known:
-            raise InvalidConfig(f"{where}{key}: unknown field")
-
-
-def _pair(value):
-    """A JSON array as a tuple; any other value is left for ``_check_fraction``."""
-    return tuple(value) if isinstance(value, list) else value
-
-
-def config_from_dict(data: dict) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise InvalidConfig("top level: must be a JSON object")
-    for key in ("seed", "num_periods", "escrow_deposit", "scps"):
-        if key not in data:
-            raise InvalidConfig(f"{key}: missing required field")
-    for key in ("scps", "qci_profiles"):
-        if not isinstance(data.get(key, []), list):
-            raise InvalidConfig(f"{key}: must be an array")
-    _check_known(data, ("seed", "num_periods", "escrow_deposit", "scps", "qci_profiles"), "")
-    profiles = []
-    for i, raw in enumerate(data.get("qci_profiles", [])):
-        known = ("qci", "priority", "packet_delay_budget_ms", "packet_loss_rate")
-        _check_known(raw, known, f"qci_profiles[{i}].")
-        try:
-            profiles.append(
-                QciProfile(
-                    qci=raw["qci"],
-                    priority=raw["priority"],
-                    packet_delay_budget_ms=raw["packet_delay_budget_ms"],
-                    packet_loss_rate=_pair(raw["packet_loss_rate"]),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise InvalidConfig(f"qci_profiles[{i}]: {exc}") from exc
-    scps = []
-    for i, raw in enumerate(data["scps"]):
+def config_from_dict(data: object) -> ScenarioConfig:
+    """Read a scenario, then check the rules that span its fields."""
+    config = read(ScenarioConfig, data)
+    labels = set()
+    for i, scp in enumerate(config.scps):
         where = f"scps[{i}]"
-        if not isinstance(raw, dict):
-            raise InvalidConfig(f"{where}: must be an object")
-        for key in ("label", "terms", "traffic"):
-            if key not in raw:
-                raise InvalidConfig(f"{where}.{key}: missing required field")
-        _check_known(raw, ("label", "terms", "traffic"), f"{where}.")
-        try:
-            terms = SlaTerms.from_dict(raw["terms"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidConfig(f"{where}.terms: {exc}") from exc
-        if not isinstance(raw["traffic"], dict):
-            raise InvalidConfig(f"{where}.traffic: must be an object")
-        traffic = {}
-        for qci_key, tm in raw["traffic"].items():
-            twhere = f"{where}.traffic.{qci_key}"
-            try:
-                qci = qci_from_key(qci_key, twhere)
-            except ValueError as exc:
-                raise InvalidConfig(str(exc)) from None
-            if not isinstance(tm, dict) or "nominal_kb" not in tm:
-                raise InvalidConfig(f"{twhere}.nominal_kb: missing required field")
-            if not isinstance(tm.get("degradations", []), list):
-                raise InvalidConfig(f"{twhere}.degradations: must be an array")
-            _check_known(tm, ("nominal_kb", "variability", "degradations"), f"{twhere}.")
-            degradations = []
-            for j, w in enumerate(tm.get("degradations", [])):
-                wwhere = f"{twhere}.degradations[{j}]"
-                _check_known(w, ("start", "end", "multiplier"), f"{wwhere}.")
-                try:
-                    degradations.append(
-                        DegradationWindow(
-                            start=w["start"], end=w["end"], multiplier=_pair(w["multiplier"])
-                        )
-                    )
-                except (KeyError, TypeError) as exc:
-                    raise InvalidConfig(f"{wwhere}: {exc}") from exc
-            traffic[qci] = TrafficModel(
-                nominal_kb=tm["nominal_kb"],
-                variability=_pair(tm.get("variability", (0, 1))),
-                degradations=degradations,
+        if scp.label in labels:
+            raise InvalidConfig(f"{where}.label: duplicate label {scp.label!r}")
+        labels.add(scp.label)
+        agreed = scp.terms.agreed_throughput
+        unmonitored = sorted(agreed.keys() - scp.traffic.keys())
+        if unmonitored:
+            raise InvalidConfig(
+                f"{where}.traffic: {scp.label!r} agrees QCIs {unmonitored} with "
+                f"no traffic stream; an unmonitored QCI can never breach"
             )
-        scps.append(ScpScenario(label=raw["label"], terms=terms, traffic=traffic))
-    config = ScenarioConfig(
-        seed=data["seed"],
-        num_periods=data["num_periods"],
-        escrow_deposit=data["escrow_deposit"],
-        scps=scps,
-        qci_profiles=profiles,
-    )
-    config.validate()
+        for qci, model in scp.traffic.items():
+            if qci not in agreed:
+                raise InvalidConfig(f"{where}.traffic.{qci}: QCI not declared in terms")
+            for j, window in enumerate(model.degradations):
+                if not window.start <= window.end < config.num_periods:
+                    raise InvalidConfig(
+                        f"{where}.traffic.{qci}.degradations[{j}]: window "
+                        f"[{window.start}, {window.end}] outside [0, {config.num_periods})"
+                    )
     return config
 
 
-def load_config(path) -> ScenarioConfig:
+def load_config(path, seed: Optional[int] = None) -> ScenarioConfig:
+    """Read a scenario file; a given ``seed`` replaces the file's before it is checked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -296,4 +315,6 @@ def load_config(path) -> ScenarioConfig:
         raise InvalidConfig(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"{path} is not valid JSON: {exc}") from exc
+    if seed is not None and type(data) is dict:
+        data["seed"] = seed
     return config_from_dict(data)

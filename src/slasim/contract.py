@@ -27,9 +27,10 @@ fund conservation on the ledger is structural, not bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .config import FLAT_RATE, SlaTerms, to_json
 from .errors import (
     AlreadyDisabled,
     AlreadyRegistered,
@@ -45,116 +46,6 @@ from .errors import (
     ZeroDeficit,
 )
 from .ledger import EventKind, Ledger
-
-PER_TRAFFIC = "per_traffic"
-FLAT_RATE = "flat_rate"
-
-
-def _is_int(value: object) -> bool:
-    """Settlement is integer arithmetic: a term is an ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def qci_from_key(key: str, name: str) -> int:
-    """The QCI number a per-QCI JSON object key names.
-
-    Only the canonical decimal form is read ("1", never "01", " 1", "+1" or
-    "1_0"), so two keys of one object cannot name the same QCI.
-    """
-    try:
-        qci = int(key)
-    except (TypeError, ValueError):
-        qci = None
-    if qci is None or str(qci) != key:
-        raise ValueError(f"{name}: QCI key {key!r} is not a canonical integer")
-    return qci
-
-
-def _qci_map(value: object, name: str) -> Dict[int, int]:
-    """A per-QCI JSON object with its string keys read as QCI numbers."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {value!r}")
-    return {qci_from_key(q, name): v for q, v in value.items()}
-
-
-@dataclass
-class SlaTerms:
-    """Commercial terms of one provider's agreement.
-
-    ``penalty_rate`` is a rational (numerator, denominator): monetary units
-    debited per kb/period of throughput deficit, floor-rounded.  Every amount,
-    rate and limit is an ``int``; ``validate`` rejects floats and booleans.
-    """
-
-    payment_mode: str
-    agreed_throughput: Dict[int, int]
-    price_per_kb: Dict[int, int] = field(default_factory=dict)
-    flat_rate_per_period: int = 0
-    penalty_rate: Tuple[int, int] = (1, 1)
-    strike_limit: int = 3
-
-    def validate(self) -> None:
-        if self.payment_mode not in (PER_TRAFFIC, FLAT_RATE):
-            raise ValueError(f"unknown payment_mode {self.payment_mode!r}")
-        if not self.agreed_throughput:
-            raise ValueError("agreed_throughput must declare at least one QCI")
-        if self.payment_mode == PER_TRAFFIC and set(self.price_per_kb) != set(
-            self.agreed_throughput
-        ):
-            raise ValueError("price_per_kb and agreed_throughput must share one QCI set")
-        rate = self.penalty_rate
-        if len(rate) != 2 or not all(map(_is_int, rate)) or rate[1] <= 0 or rate[0] < 0:
-            raise ValueError(f"bad penalty_rate {rate!r}")
-        if not _is_int(self.strike_limit) or self.strike_limit < 1:
-            raise ValueError(f"strike_limit must be an integer >= 1, got {self.strike_limit!r}")
-        for name, mapping in (
-            ("agreed_throughput", self.agreed_throughput),
-            ("price_per_kb", self.price_per_kb),
-        ):
-            for qci, value in mapping.items():
-                if not (_is_int(qci) and _is_int(value)):
-                    raise ValueError(f"{name} must map QCIs to integers, got {qci!r}: {value!r}")
-                if qci < 0 or value < 0:
-                    raise ValueError(f"negative QCI term {qci}: {value}")
-        if not _is_int(self.flat_rate_per_period) or self.flat_rate_per_period < 0:
-            raise ValueError(
-                f"flat_rate_per_period must be an integer >= 0, got {self.flat_rate_per_period!r}"
-            )
-
-    def penalty_debit(self, deficit_kbps: int) -> int:
-        num, den = self.penalty_rate
-        return num * deficit_kbps // den
-
-    def to_dict(self) -> dict:
-        return {
-            "payment_mode": self.payment_mode,
-            "price_per_kb": {str(q): self.price_per_kb[q] for q in sorted(self.price_per_kb)},
-            "flat_rate_per_period": self.flat_rate_per_period,
-            "agreed_throughput": {
-                str(q): self.agreed_throughput[q] for q in sorted(self.agreed_throughput)
-            },
-            "penalty_rate": list(self.penalty_rate),
-            "strike_limit": self.strike_limit,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SlaTerms":
-        if not isinstance(data, dict):
-            raise ValueError(f"must be a JSON object, got {data!r}")
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ValueError(f"{key}: unknown field")
-        terms = cls(
-            payment_mode=data["payment_mode"],
-            agreed_throughput=_qci_map(data["agreed_throughput"], "agreed_throughput"),
-            price_per_kb=_qci_map(data.get("price_per_kb", {}), "price_per_kb"),
-            flat_rate_per_period=data.get("flat_rate_per_period", 0),
-            penalty_rate=tuple(data.get("penalty_rate", (1, 1))),
-            strike_limit=data.get("strike_limit", 3),
-        )
-        terms.validate()
-        return terms
 
 
 @dataclass
@@ -177,7 +68,7 @@ class ScpRecord:
             "consecutive_strikes": self.consecutive_strikes,
             "breached_this_period": self.breached_this_period,
             "served": {str(q): self.served[q] for q in sorted(self.served)},
-            "terms": self.terms.to_dict(),
+            "terms": to_json(self.terms),
         }
 
 
@@ -255,7 +146,7 @@ class SlaContract:
         self._rebuild_streams()
         self.ledger.append_event(EventKind.SCP_REGISTERED, scp)
         self.ledger._log(
-            "register_scp", contract=self.id, caller=caller, scp=scp, terms=terms.to_dict()
+            "register_scp", contract=self.id, caller=caller, scp=scp, terms=to_json(terms)
         )
 
     def deposit(self, caller: str, amount: int) -> None:

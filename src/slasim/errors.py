@@ -7,23 +7,19 @@ class SimError(Exception):
 
 # --- ledger ---------------------------------------------------------------
 
-class LedgerError(SimError):
+class InsufficientFunds(SimError):
     pass
 
 
-class InsufficientFunds(LedgerError):
+class UnknownAddress(SimError):
     pass
 
 
-class UnknownAddress(LedgerError):
+class DuplicateAddress(SimError):
     pass
 
 
-class DuplicateAddress(LedgerError):
-    pass
-
-
-class MalformedLog(LedgerError):
+class MalformedLog(SimError):
     pass
 
 
@@ -83,8 +79,10 @@ class NotDisabled(ContractError):
 
 # --- scenario / tooling ---------------------------------------------------
 
-class InvalidConfig(SimError):
-    pass
+class InvalidConfig(SimError, ValueError):
+    """A JSON record or SLA term that does not read; a ``ValueError`` too, so
+    replay reports a bad logged term as bad fields, and ``register_scp``
+    rejects bad terms built in Python with the ``ValueError`` it always raised."""
 
 
 class DigestMismatch(SimError):

@@ -14,7 +14,8 @@ import json
 from contextlib import closing
 from typing import Dict, Iterable, Iterator, Tuple
 
-from .contract import SlaContract, SlaTerms
+from .config import SlaTerms, read
+from .contract import SlaContract
 from .errors import DigestMismatch, MalformedLog, SimError
 from .ledger import TXLOG_FORMAT, TXLOG_HEADER_KEYS, TXLOG_VERSION, Ledger
 
@@ -113,7 +114,7 @@ def replay_entries(entries: Iterable[dict]) -> Ledger:
             else:
                 raise MalformedLog(f"entry {pos}: unknown operation {op!r}")
             if "terms" in fields:
-                fields["terms"] = SlaTerms.from_dict(fields["terms"])
+                fields["terms"] = read(SlaTerms, fields["terms"])
             getattr(target, op)(**fields)
         except MalformedLog:
             raise

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from operator import add, mod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .config import ScenarioConfig
-from .contract import SlaContract, SlaTerms
+from .config import ScenarioConfig, SlaTerms, to_json
+from .contract import SlaContract
 from .errors import UnknownQci
 from .ledger import Ledger
 from .report import RowFold, RunReport, rows_from_events
@@ -44,14 +44,11 @@ class TrafficTrace:
     order, so a period's values are a ``record_traffic`` vector as they are.
     """
 
-    seed: int
-    num_periods: int
     streams: List[Tuple[str, int]] = field(default_factory=list)
     periods: List[array] = field(default_factory=list)
 
 
 def generate_trace(config: ScenarioConfig) -> TrafficTrace:
-    config.validate()
     streams = []
     for scp_index, scp in enumerate(config.scps):
         for qci in sorted(scp.traffic):
@@ -62,12 +59,10 @@ def generate_trace(config: ScenarioConfig) -> TrafficTrace:
             key = stream_key(config.seed, scp_index, qci)
             streams.append((scp.label, qci, key, lo, hi - lo + 1, model.degradations))
     # (label, qci) pairs are unique, so this orders the streams, and with them
-    # every period's values, by (label, qci); validate() leaves at least one
+    # every period's values, by (label, qci); a read config has at least one
     streams.sort()
     labels, qcis, keys, lows, spans, windows = zip(*streams)
-    trace = TrafficTrace(
-        seed=config.seed, num_periods=config.num_periods, streams=list(zip(labels, qcis))
-    )
+    trace = TrafficTrace(streams=list(zip(labels, qcis)))
     draws = splitmix64_lanes(keys)
     # the windows covering the period, in stream order and then list order, so
     # one stream's multipliers compose as listed; rebuilt at window boundaries
@@ -80,7 +75,7 @@ def generate_trace(config: ScenarioConfig) -> TrafficTrace:
         values = list(map(add, lows, map(mod, draws(period), spans)))
         for i, mnum, mden in covering:
             values[i] = values[i] * mnum // mden
-        # validate() keeps nominal_kb below 2**62, so a value (at most twice
+        # the reader keeps nominal_kb below 2**62, so a value (at most twice
         # that) fits a signed 64-bit slot
         trace.periods.append(array("q", values))
     return trace
@@ -161,7 +156,7 @@ def drive(
     rows = rows_from_events(ledger.events, periods) if fold is None else fold.rows(periods)
     return RunReport(
         seed=config.seed,
-        config_echo=config.to_dict(),
+        config_echo=to_json(config),
         rows=rows,
         total_deposits=contract.total_deposits,
         escrow_remaining=contract.escrow,

@@ -15,7 +15,8 @@ import random
 from itertools import product
 from typing import Optional, Sequence
 
-from .contract import PER_TRAFFIC, SlaContract, SlaTerms
+from .config import PER_TRAFFIC, SlaTerms
+from .contract import SlaContract
 from .errors import ContractError, InactiveScp
 from .ledger import Ledger
 from .report import rows_from_events

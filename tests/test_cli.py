@@ -75,6 +75,14 @@ def test_seed_override_echoed(config_file, tmp_path):
     assert report["config"]["seed"] == 777
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+def test_seed_override_out_of_range_is_invalid(config_file, tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", config_file, "--out", out, "--seed", seed) == EXIT_INVALID
+    assert "invalid config: seed:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_underfunded_scenario_aborts(tmp_path, capsys):
     broke = json.loads(json.dumps(VALID))
     broke["escrow_deposit"] = 10  # cannot cover the first accrual

@@ -4,17 +4,26 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slasim.config import config_from_dict, load_config
+from test_traffic import scenarios
+from slasim.config import (
+    DegradationWindow,
+    ScenarioConfig,
+    ScpScenario,
+    SlaTerms,
+    TrafficModel,
+    config_from_dict,
+    load_config,
+    to_json,
+)
 from slasim.errors import InvalidConfig
 
 VALID = {
     "seed": 42,
     "num_periods": 5,
     "escrow_deposit": 100_000,
-    "qci_profiles": [
-        {"qci": 1, "priority": 2, "packet_delay_budget_ms": 100, "packet_loss_rate": [1, 100]}
-    ],
     "scps": [
         {
             "label": "scp-1",
@@ -48,9 +57,25 @@ def test_roundtrip(tmp_path):
     assert config.seed == 42
     assert config.scps[0].terms.price_per_kb == {1: 2}
     assert config.scps[0].traffic[1].degradations[0].multiplier == (1, 2)
-    assert config.qci_profiles[0].packet_loss_rate == (1, 100)
     # echo reproduces the semantic content
-    assert config.to_dict()["scps"][0]["label"] == "scp-1"
+    assert to_json(config)["scps"][0]["label"] == "scp-1"
+
+
+# QCIs at 10 and above sort before 9 as JSON keys
+@settings(max_examples=60, deadline=None)
+@given(config=scenarios(qcis=st.integers(0, 20)))
+def test_echo_reads_back(config):
+    assert config_from_dict(json.loads(json.dumps(to_json(config)))) == config
+
+
+@pytest.mark.parametrize(
+    "record", [ScenarioConfig, ScpScenario, TrafficModel, DegradationWindow, SlaTerms],
+    ids=lambda record: record.__name__,
+)
+def test_every_field_is_read_by_a_check(record):
+    unchecked = [name for name, spec in record.__dataclass_fields__.items()
+                 if not callable(spec.metadata.get("check"))]
+    assert unchecked == []
 
 
 def test_missing_field_is_named():
@@ -107,11 +132,10 @@ def test_invalid_json(tmp_path):
         load_config(path)
 
 
-# keys that int() reads as a QCI but that are not its canonical decimal form
-NON_CANONICAL_QCI_KEYS = ["01", " 1", "1_0", "+1"]
+# keys that int() reads but that are not the canonical decimal form of a QCI
+NON_CANONICAL_QCI_KEYS = ["01", " 1", "1_0", "+1", "-1"]
 
 WINDOW = r"scps\[0\]\.traffic\.1\.degradations\[0\]"
-PROFILE = r"qci_profiles\[0\]"
 
 
 @pytest.mark.parametrize(
@@ -121,7 +145,6 @@ PROFILE = r"qci_profiles\[0\]"
         (("scps", 0, "terms", "agreed_throughput"), [1], "agreed_throughput"),
         (("scps", 0, "terms", "price_per_kb"), "x", "price_per_kb"),
         (("scps",), 5, "scps"),
-        (("qci_profiles",), 5, "qci_profiles"),
         (("scps", 0, "traffic", "1", "degradations"), 5, "degradations"),
         # the fields kept from inside those containers are checked too
         (("scps", 0, "traffic", "1", "degradations", 0, "start"), "1", rf"{WINDOW}\.start:"),
@@ -130,12 +153,6 @@ PROFILE = r"qci_profiles\[0\]"
         (("scps", 0, "traffic", "1", "degradations", 0, "multiplier"), 5,
          rf"{WINDOW}\.multiplier:"),
         (("scps", 0, "traffic", "1", "variability"), 5, r"traffic\.1\.variability:"),
-        (("qci_profiles", 0, "qci"), "x", rf"{PROFILE}\.qci:"),
-        (("qci_profiles", 0, "priority"), [], rf"{PROFILE}\.priority:"),
-        (("qci_profiles", 0, "packet_delay_budget_ms"), None,
-         rf"{PROFILE}\.packet_delay_budget_ms:"),
-        (("qci_profiles", 0, "packet_loss_rate"), "ab", rf"{PROFILE}\.packet_loss_rate:"),
-        (("qci_profiles", 0, "packet_loss_rate"), [2, 1], rf"{PROFILE}\.packet_loss_rate:"),
         # the trace keeps samples, at most twice nominal_kb, in signed 64-bit slots
         (("scps", 0, "traffic", "1", "nominal_kb"), 2**62,
          r"scps\[0\]\.traffic\.1\.nominal_kb: does not fit in 62 bits"),
@@ -152,10 +169,9 @@ PROFILE = r"qci_profiles\[0\]"
          rf"traffic\.{re.escape(key)}: QCI key {re.escape(repr(key))}")
         for key in NON_CANONICAL_QCI_KEYS
     ],
-    ids=["traffic", "agreed_throughput", "price_per_kb", "scps", "qci_profiles", "degradations",
+    ids=["traffic", "agreed_throughput", "price_per_kb", "scps", "degradations",
          "window-start-str", "window-start-float", "window-end-bool", "window-multiplier-int",
-         "variability-int", "profile-qci", "profile-priority", "profile-delay-budget",
-         "profile-loss-rate-str", "profile-loss-rate-above-one", "nominal-kb-2**62"]
+         "variability-int", "nominal-kb-2**62"]
     + [f"{name}-key-{key!r}" for name in ("agreed_throughput", "price_per_kb", "traffic")
        for key in NON_CANONICAL_QCI_KEYS],
 )
@@ -208,13 +224,14 @@ UNKNOWN_KEYS = [
      r"^scps\[0\]\.traffic\.1\.variabilty: unknown field"),
     (("scps", 0, "traffic", "1", "degradations", 0), "multiplyer",
      rf"^{WINDOW}\.multiplyer: unknown field"),
-    (("qci_profiles", 0), "priorty", rf"^{PROFILE}\.priorty: unknown field"),
+    # QCI profiles were informational metadata that settlement never read
+    ((), "qci_profiles", r"^qci_profiles: unknown field"),
 ]
 
 
 @pytest.mark.parametrize(
     "path, key, named", UNKNOWN_KEYS,
-    ids=["scenario", "scp", "terms", "traffic", "window", "profile"],
+    ids=["scenario", "scp", "terms", "traffic", "window", "qci_profiles"],
 )
 def test_unknown_key_is_named(path, key, named):
     data = valid_dict()
@@ -232,10 +249,9 @@ def test_unknown_key_is_named(path, key, named):
     [
         (("scps", 0, "traffic", "1", "degradations"), ["start"],
          rf"^{WINDOW}: must be an object"),
-        (("qci_profiles",), ["qci"], rf"^{PROFILE}: must be an object"),
         (("scps", 0, "terms"), "payment_mode", r"^scps\[0\]\.terms: must be a JSON object"),
     ],
-    ids=["window", "profile", "terms"],
+    ids=["window", "terms"],
 )
 def test_entry_that_is_not_an_object_is_named(path, value, named):
     data = valid_dict()

@@ -59,6 +59,31 @@ class TestRegistration:
         assert len(contract.archived) == 1
         assert contract.archived[0].credit == -150
 
+    @pytest.mark.parametrize(
+        "terms, named",
+        [
+            (dict(strike_limit=0), "strike_limit"),
+            (dict(penalty_rate=(1.5, 1)), "penalty_rate"),
+            (dict(penalty_rate=[5, 1]), "penalty_rate"),
+            (dict(flat_rate_per_period=True), "flat_rate_per_period"),
+            (dict(payment_mode="per_kb"), "payment_mode"),
+            (dict(agreed_throughput={1: 1000, 5: -1}), "agreed_throughput"),
+            (dict(agreed_throughput={"1": 1000, "5": 500}, price_per_kb={"1": 2, "5": 1}),
+             "agreed_throughput"),
+            (dict(agreed_throughput={-1: 1000}, price_per_kb={-1: 2}), "agreed_throughput"),
+        ],
+        ids=["zero-strike-limit", "float-rate", "rate-list", "bool-flat-rate", "unknown-mode",
+             "negative-level", "string-qci", "negative-qci"],
+    )
+    def test_terms_built_in_python_are_checked(self, world, terms, named):
+        ledger, contract, owner, _ = world
+        other = ledger.create_account(0, "other")
+        state, logged = ledger.canonical_state(), len(ledger.txlog)
+        with pytest.raises(ValueError, match=rf"^{named}[.:]"):
+            contract.register_scp(owner, other, make_terms(**terms))
+        assert ledger.canonical_state() == state
+        assert len(ledger.txlog) == logged
+
 
 class TestDeposit:
     def test_zero_deposit_still_appends_event(self, world):

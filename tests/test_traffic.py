@@ -197,7 +197,7 @@ FRACTIONS = st.integers(1, 6).flatmap(lambda den: st.tuples(st.integers(0, den),
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, qcis=st.integers(0, 9)):
     num_periods = draw(st.integers(1, 12))
     bound = st.integers(0, num_periods - 1)
     windows = st.lists(
@@ -206,7 +206,7 @@ def scenarios(draw):
         max_size=3,
     )
     traffic = st.dictionaries(
-        st.integers(0, 9),
+        qcis,
         st.builds(TrafficModel, nominal_kb=st.integers(0, 2**62 - 1), variability=FRACTIONS,
                   degradations=windows),
         min_size=1, max_size=3,
