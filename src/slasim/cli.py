@@ -75,11 +75,11 @@ def cmd_run(config_path: str, out_dir: str, seed: Optional[int] = None) -> int:
         return EXIT_ABORT
     # the log is spooled to disk as it is logged, so a full disk can stop the
     # run at any step, not only when the outputs are written
-    fold = RowFold()  # the ledger's event sink: no list of events is kept
+    fold = RowFold()
     try:
         with TxlogSpool(out) as txlog:
             ledger, contract = setup_run(config, txlog, fold.add)
-            report = drive(ledger, contract, config, fold=fold)
+            report = drive(ledger, contract, config, fold)
             report.write_json(out / REPORT_JSON)
             report.write_csv(out / REPORT_CSV)
             ledger.export_txlog(out / TXLOG_FILE, digest=report.digest)

@@ -246,15 +246,18 @@ class SlaTerms:
         ):
             raise InvalidConfig("price_per_kb and agreed_throughput must share one QCI set")
 
-    def validate(self) -> None:
+    def validate(self) -> "SlaTerms":
         """Check terms built in Python, not read: each field's check must return it unchanged.
 
-        The checks of these fields also accept the values they return.
+        The checks of these fields also accept the values they return; they
+        return fresh maps, so the copy shares nothing the caller can change.
         """
+        checked = {}
         for name, value in vars(self).items():
-            if self.__dataclass_fields__[name].metadata["check"](value, name) != value:
+            checked[name] = self.__dataclass_fields__[name].metadata["check"](value, name)
+            if checked[name] != value:
                 raise InvalidConfig(f"{name}: {value!r} is not the value it is read as")
-        self.__post_init__()
+        return SlaTerms(**checked)
 
     def penalty_debit(self, deficit_kbps: int) -> int:
         num, den = self.penalty_rate

@@ -127,7 +127,7 @@ class SlaContract:
     def register_scp(self, caller: str, scp: str, terms: SlaTerms) -> None:
         self._require_owner(caller)
         self._require_enabled()
-        terms.validate()
+        terms = terms.validate()  # the contract's own copy, as Solidity copies memory to storage
         self.ledger.balance(scp)
         existing = self.registry.get(scp)
         if existing is not None:

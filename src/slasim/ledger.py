@@ -2,9 +2,9 @@
 
 The ledger is the execution substrate for the SLA contract.  It keeps integer
 account balances (never negative, never fractional), an append-only stream of
-indexed events, and a monotone period counter.  A ledger given an event sink
-keeps only the events its digest has not folded yet, as an Ethereum node may
-prune logs, which the state root does not commit to.
+indexed events, and a monotone period counter.  It folds each full batch of
+events into its digest and drops it, as an Ethereum node commits to logs by
+hash and need not keep them; a caller that wants the records passes a sink.
 
 The transactions are ``create_account`` and the contract's operations.  Each
 one appends a single entry to the transaction log through ``Ledger._log``:
@@ -34,10 +34,10 @@ TXLOG_FORMAT = "slasim-txlog"
 TXLOG_VERSION = 5  # 5: record_traffic takes one kb value per stream, in stream order
 TXLOG_HEADER_KEYS = frozenset({"format", "version", "digest", "entries"})
 
-# Events folded into the digest per encoder call, so the JSON text held at once
-# stays small.  Records are encoded as they are (a NamedTuple is a JSON array
-# and EventKind a str), so a batch allocates only its slice and its text; the
-# hash does not depend on the batch size.
+# Events folded into the digest per encoder call, so the events and JSON text
+# held at once stay small.  Records are encoded as they are (a NamedTuple is a
+# JSON array and EventKind a str), so a batch allocates only its text; the hash
+# does not depend on the batch size.
 _FOLD_BATCH = 256
 
 
@@ -73,7 +73,7 @@ class EventRecord(NamedTuple):
         raise KeyError(name)
 
 
-EventSink = Callable[[EventRecord], None]  # receives each event of a ledger that lists none
+EventSink = Callable[[EventRecord], None]  # handed each event as it is appended
 
 
 class TxlogSpool:
@@ -122,9 +122,8 @@ class Ledger:
 
     ``txlog`` receives every logged entry: a list by default, or a
     ``TxlogSpool`` that writes the entries to disk as they are logged.
-    ``events`` picks the event store the same way: a list by default, or a
-    sink, which is handed each event; the ledger then keeps only the tail its
-    digest has not folded (fewer than ``_FOLD_BATCH``) and ``events`` raises.
+    ``events``, if given, is a sink handed each event as it is appended; the
+    ledger keeps only the tail its digest has not folded (< ``_FOLD_BATCH``).
     """
 
     def __init__(
@@ -132,16 +131,15 @@ class Ledger:
     ) -> None:
         self.balances: Dict[str, int] = {}
         self.num_events = 0
-        self._events: List[EventRecord] = []  # every event, or a sink's unfolded tail
+        self._events: List[EventRecord] = []  # the tail the digest has not folded
         self._sink = events
         self.current_period: int = 0
         self.txlog = [] if txlog is None else txlog
         # contracts attach themselves so the digest covers their state too
         self.contracts: Dict[str, object] = {}
         self._anon_counter = 0
-        # running SHA-256 over the first self._events_hashed events
+        # running SHA-256 over every event before the tail
         self._events_hash = hashlib.sha256()
-        self._events_hashed = 0
 
     # --- accounts ---------------------------------------------------------
 
@@ -187,13 +185,6 @@ class Ledger:
 
     # --- events -----------------------------------------------------------
 
-    @property
-    def events(self) -> List[EventRecord]:
-        """Every event, in index order; a ledger with a sink keeps none."""
-        if self._sink is not None:
-            raise RuntimeError("this ledger folds and drops its events; it keeps no list")
-        return self._events
-
     def append_event(
         self,
         kind: EventKind,
@@ -207,8 +198,8 @@ class Ledger:
         self._events.append(event)
         if self._sink is not None:
             self._sink(event)
-            if len(self._events) == _FOLD_BATCH:
-                self._events_sha256()
+        if len(self._events) == _FOLD_BATCH:
+            self._events_sha256()
         return index
 
     # --- period clock -----------------------------------------------------
@@ -229,23 +220,16 @@ class Ledger:
         self.contracts[contract.id] = contract
 
     def _events_sha256(self) -> str:
-        """Fold the events not yet hashed into the running SHA-256, in index order.
+        """Fold the unfolded tail, if any, into the running SHA-256 and drop it.
 
         Each event enters as the compact JSON array
         ``[index, period, kind, subject, qci, [[name, value], ...]]`` followed
         by a comma, so the hash is the same however many reads split the log.
-        An event once folded is never read again, which relies on the log
-        being append-only; a ledger with a sink drops it.
         """
         events = self._events
-        first = self.num_events - len(events)  # the index of events[0]
-        while self._events_hashed < self.num_events:
-            start = self._events_hashed - first
-            rows = events[start : start + _FOLD_BATCH]
-            blob = json.dumps(rows, separators=(",", ":"))[1:-1] + ","
+        if events:
+            blob = json.dumps(events, separators=(",", ":"))[1:-1] + ","
             self._events_hash.update(blob.encode("utf-8"))
-            self._events_hashed += len(rows)
-        if self._sink is not None:
             events.clear()
         return self._events_hash.hexdigest()
 

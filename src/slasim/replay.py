@@ -88,11 +88,11 @@ def replay_entries(entries: Iterable[dict]) -> Ledger:
 
     ``create_contract`` constructs a contract; every other entry calls the
     method it names with its remaining fields as keyword arguments.  Each op
-    logs itself again; that copy is dropped as soon as the op returns.  Nothing
-    reads the events, so they go to a sink that ignores them: the returned
-    ledger holds the rebuilt state, an empty ``txlog`` and fewer than 256 events.
+    logs itself again; that copy is dropped as soon as the op returns.  The
+    returned ledger holds the rebuilt state, an empty ``txlog`` and, as every
+    ledger does, fewer than 256 events.
     """
-    ledger = Ledger(events=lambda event: None)
+    ledger = Ledger()
     contracts: Dict[str, SlaContract] = {}
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict) or "op" not in entry:

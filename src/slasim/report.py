@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from .fileio import atomic_write
 from .ledger import EventKind, EventRecord
@@ -109,14 +109,6 @@ class RowFold:
             padding = [self._strikes[scp]] * (num_periods - len(row.strikes_timeline))
             rows[scp] = replace(row, strikes_timeline=row.strikes_timeline + padding)
         return rows
-
-
-def rows_from_events(events: Iterable[EventRecord], num_periods: int) -> Dict[str, ScpRow]:
-    """The settlement rows of an event log (see ``RowFold``)."""
-    fold = RowFold()
-    for event in events:
-        fold.add(event)
-    return fold.rows(num_periods)
 
 
 @dataclass

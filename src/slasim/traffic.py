@@ -27,7 +27,7 @@ from .config import ScenarioConfig, SlaTerms, to_json
 from .contract import SlaContract
 from .errors import UnknownQci
 from .ledger import Ledger
-from .report import RowFold, RunReport, rows_from_events
+from .report import RowFold, RunReport
 # splitmix64 is not called here: the benchmark's tracer counts calls through this name
 from .rng import splitmix64, splitmix64_lanes, stream_key
 
@@ -111,16 +111,16 @@ def drive(
     ledger: Ledger,
     contract: SlaContract,
     config: ScenarioConfig,
+    fold: RowFold,
     trace: Optional[TrafficTrace] = None,
-    fold: Optional[RowFold] = None,
 ) -> RunReport:
     """Run the full scenario against an already funded, registered contract.
 
     Expects every scenario SCP registered under its label as its ledger
     address and the owner's deposit already made.  After the last period,
     every provider with positive credit withdraws.  The report's rows are
-    those of ``fold``, a ``RowFold`` that has seen every event (as the
-    ledger's sink ``fold.add`` does), else the fold of ``ledger.events``.
+    those of ``fold``, a ``RowFold`` that has seen every event of the ledger,
+    as it does when ``fold.add`` is the ledger's event sink.
     Propagates contract errors (notably InsufficientEscrowForAccrual).
     """
     if trace is None:
@@ -152,12 +152,10 @@ def drive(
         if contract.registry[label].credit > 0:
             contract.withdraw(label)
 
-    periods = config.num_periods
-    rows = rows_from_events(ledger.events, periods) if fold is None else fold.rows(periods)
     return RunReport(
         seed=config.seed,
         config_echo=to_json(config),
-        rows=rows,
+        rows=fold.rows(config.num_periods),
         total_deposits=contract.total_deposits,
         escrow_remaining=contract.escrow,
         total_withdrawn=contract.total_withdrawn,

@@ -1,17 +1,18 @@
-"""Built-in verification suites: strike-rule oracle, conservation fuzz,
-and a check of the live registry against the event log.
+"""Built-in verification suites: strike-rule oracle, conservation and
+liveness fuzz, and a check of the live registry against the event log.
 
 These are the independent cross-checks behind the ``verify`` CLI command and
 the acceptance tests.  The strike oracle deliberately knows nothing about the
 contract implementation: it is a plain counter over breach/clean period
 sequences.  The event-log check reads the log through the fold that builds
-report rows (:func:`slasim.report.rows_from_events`), so it also checks that
-the report's numbers follow from the events.
+report rows (:class:`slasim.report.RowFold`, the ledger's event sink), so it
+also checks that the report's numbers follow from the events.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from itertools import product
 from typing import Optional, Sequence
 
@@ -19,7 +20,7 @@ from .config import PER_TRAFFIC, SlaTerms
 from .contract import SlaContract
 from .errors import ContractError, InactiveScp
 from .ledger import Ledger
-from .report import rows_from_events
+from .report import RowFold
 
 
 # --- 3-strike oracle ---------------------------------------------------------
@@ -56,7 +57,7 @@ def contract_removal_period(seq: Sequence[bool], limit: int = 3) -> Optional[int
         if breached and contract.registry[scp].active:
             contract.throughput_breach(owner, scp, 1, 10)
         if not contract.registry[scp].active:
-            return ledger.events[-1].period  # the ScpRemoved event just emitted
+            return ledger.current_period  # the breach just removed it
         contract.close_period(owner)
     return None
 
@@ -81,15 +82,15 @@ def check_strike_equivalence(max_len: int, limit: int = 3) -> Optional[dict]:
 
 # --- event-log cross-check ---------------------------------------------------
 
-def registry_matches_events(contract: SlaContract) -> Optional[str]:
-    """None if the live registry agrees with the report fold of the event log.
+def registry_matches_events(contract: SlaContract, fold: RowFold) -> Optional[str]:
+    """None if the live registry agrees with ``fold``, the report fold of the event log.
 
-    Compares each provider's credit, strikes and active flag.  A period-
-    boundary check, as every caller uses it: strikes are read off the
-    timeline, which records the count at each close.
+    ``fold`` must have seen every event of the ledger, as the ledger's sink
+    ``fold.add`` does.  Compares each provider's credit, strikes and active
+    flag.  A period-boundary check, as every caller uses it: strikes are read
+    off the timeline, which records the count at each close.
     """
-    ledger = contract.ledger
-    rows = rows_from_events(ledger.events, ledger.current_period)
+    rows = fold.rows(contract.ledger.current_period)
     state = "credit={} strikes={} active={}"
     for addr, record in contract.registry.items():
         row = rows.get(addr)
@@ -119,8 +120,9 @@ def conservation_fuzz(num_ops: int, seed: int = 0) -> Optional[dict]:
     """Random valid operations; checks exact conservation after every step.
 
     The last ~1% of the budget disables the contract and exercises
-    withdraw/recover in the disabled state.  Returns None on success, else a
-    description of the first violation.
+    withdraw/recover in the disabled state.  Then every provider withdraws
+    and the owner recovers, which must empty the escrow (liveness).  Returns
+    None on success, else a description of the first violation.
     """
     rng = random.Random(seed)
     ledger = Ledger()
@@ -194,4 +196,12 @@ def conservation_fuzz(num_ops: int, seed: int = 0) -> Optional[dict]:
             return {"step": step, "action": action, "error": "ledger total changed"}
         if any(balance < 0 for balance in ledger.balances.values()):
             return {"step": step, "action": action, "error": "negative balance"}
+    if not contract.disabled:  # a budget too small to reach disable_at
+        contract.failsafe_disable(owner)
+    for scp in scps:
+        with suppress(ContractError):  # nothing owed
+            contract.withdraw(scp)
+    contract.recover_escrow(owner)
+    if contract.escrow != 0:
+        return {"step": step, "error": "funds stranded in escrow", "escrow": contract.escrow}
     return None

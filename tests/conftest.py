@@ -1,6 +1,8 @@
 import pytest
 
 from slasim import FLAT_RATE, PER_TRAFFIC, Ledger, SlaContract, SlaTerms
+from slasim.cli import setup_run
+from slasim.report import RowFold
 
 
 def make_terms(**overrides) -> SlaTerms:
@@ -27,9 +29,42 @@ def make_flat_terms(rate: int = 500, **overrides) -> SlaTerms:
     return SlaTerms(**kwargs)
 
 
+class RecordingFold(RowFold):
+    """A ``RowFold`` that also keeps each event it is shown, in ``events``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.events = []
+
+    def add(self, event) -> None:
+        self.events.append(event)
+        super().add(event)
+
+
+def folded_run(config):
+    """``setup_run`` with a ``RecordingFold`` as the event sink: (ledger, contract, fold)."""
+    fold = RecordingFold()
+    ledger, contract = setup_run(config, events=fold.add)
+    return ledger, contract, fold
+
+
+def fold_of(events):
+    """A ``RowFold`` that has been shown ``events``, in order, as their ledger's sink is."""
+    fold = RowFold()
+    for event in events:
+        fold.add(event)
+    return fold
+
+
 @pytest.fixture
-def ledger():
-    return Ledger()
+def events():
+    """Every event of the ``ledger`` fixture, in index order: the list is its sink."""
+    return []
+
+
+@pytest.fixture
+def ledger(events):
+    return Ledger(events=events.append)
 
 
 @pytest.fixture

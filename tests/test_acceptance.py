@@ -9,9 +9,17 @@ import time
 
 import pytest
 
-from conftest import make_terms
+from conftest import folded_run, make_terms
 from slasim import Ledger, SlaContract
-from slasim.cli import REPORT_CSV, REPORT_JSON, TXLOG_FILE, cmd_replay, cmd_run, setup_run
+from slasim.cli import (
+    FUZZ_OPS,
+    FUZZ_SEED,
+    REPORT_CSV,
+    REPORT_JSON,
+    TXLOG_FILE,
+    cmd_replay,
+    cmd_run,
+)
 from slasim.errors import ContractDisabled, NothingToWithdraw
 from slasim.traffic import drive
 from slasim.verify import (
@@ -30,6 +38,25 @@ def test_fund_conservation_fuzz():
     violation = conservation_fuzz(10_000, seed=1234)
     assert violation is None, violation
     passed("fund conservation over 10,000 fuzzed operations")
+
+
+def test_liveness_oracle_reports_stranded_funds(monkeypatch):
+    # a withdraw that pays only the live record leaves archived credit behind
+    withdraw = SlaContract.withdraw
+
+    def withdraw_live_record_only(contract, caller):
+        archived, contract.archived = contract.archived, []
+        try:
+            return withdraw(contract, caller)
+        finally:
+            contract.archived = archived
+
+    assert conservation_fuzz(FUZZ_OPS, FUZZ_SEED) is None
+    monkeypatch.setattr(SlaContract, "withdraw", withdraw_live_record_only)
+    violation = conservation_fuzz(FUZZ_OPS, FUZZ_SEED)
+    assert violation["error"] == "funds stranded in escrow", violation
+    assert violation["escrow"] > 0
+    passed("liveness: once everyone withdraws and the owner recovers, escrow is empty")
 
 
 def test_three_strike_oracle_equivalence():
@@ -165,8 +192,8 @@ def test_closed_form_payout(tmp_path):
     from slasim.config import config_from_dict
 
     config = config_from_dict(config_dict)
-    ledger, contract = setup_run(config)
-    report = drive(ledger, contract, config)
+    ledger, contract, fold = folded_run(config)
+    report = drive(ledger, contract, config, fold)
     expected = sum(prices[q] * nominal[q] for q in qcis) * num_periods
     for row in report.rows.values():
         assert row.withdrawn == expected
@@ -182,9 +209,9 @@ def test_event_completeness(tmp_path):
     for scp in config.scps:
         for model in scp.traffic.values():
             model.degradations = [w for w in model.degradations if w.end < 150]
-    ledger, contract = setup_run(config)
-    drive(ledger, contract, config)
-    mismatch = registry_matches_events(contract)
+    ledger, contract, fold = folded_run(config)
+    drive(ledger, contract, config, fold)
+    mismatch = registry_matches_events(contract, fold)
     assert mismatch is None, mismatch
     passed("event completeness: event log reproduces credits and strikes exactly")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_flat_terms, make_terms
+from conftest import fold_of, make_flat_terms, make_terms
 from slasim import EventKind, Ledger, SlaContract, SlaTerms
 from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_replay
 from slasim.errors import (
@@ -20,7 +20,7 @@ from slasim.errors import (
     NotOwner,
     ZeroDeficit,
 )
-from slasim.report import rows_from_events
+from slasim.replay import replay_entries
 from slasim.verify import registry_matches_events, strike_oracle_removal_period
 
 
@@ -84,14 +84,28 @@ class TestRegistration:
         assert ledger.canonical_state() == state
         assert len(ledger.txlog) == logged
 
+    def test_terms_changed_after_registration_change_nothing(self, ledger):
+        """The contract keeps its own copy of the terms: settlement follows the logged ones."""
+        owner = ledger.create_account(10_000, "mno")
+        contract = SlaContract(ledger, owner)
+        scp = ledger.create_account(0, "scp-1")
+        terms = make_terms(agreed_throughput={1: 1000, 2: 500}, price_per_kb={1: 1, 2: 2})
+        contract.register_scp(owner, scp, terms)
+        contract.deposit(owner, 10_000)
+        terms.price_per_kb[1] = 50
+        contract.record_traffic(owner, [100, 100])
+        contract.close_period(owner)
+        assert contract.registry[scp].credit == 1 * 100 + 2 * 100
+        assert replay_entries(ledger.txlog).state_digest() == ledger.state_digest()
+
 
 class TestDeposit:
-    def test_zero_deposit_still_appends_event(self, world):
+    def test_zero_deposit_still_appends_event(self, world, events):
         ledger, contract, owner, _ = world
         before = ledger.balance(owner)
         contract.deposit(owner, 0)
         assert ledger.balance(owner) == before
-        assert len([e for e in ledger.events if e.kind is EventKind.DEPOSIT]) == 2
+        assert len([e for e in events if e.kind is EventKind.DEPOSIT]) == 2
 
     def test_exact_arithmetic(self, ledger):
         owner = ledger.create_account(1000, "mno")
@@ -308,10 +322,10 @@ class TestStreamOrder:
 
 
 class TestClosePeriod:
-    def test_no_traffic_pays_zero(self, world):
+    def test_no_traffic_pays_zero(self, world, events):
         ledger, contract, owner, scp = world
         contract.close_period(owner)
-        [event] = [e for e in ledger.events if e.kind is EventKind.PERIODIC_PAYOUT]
+        [event] = [e for e in events if e.kind is EventKind.PERIODIC_PAYOUT]
         assert event.payload_value("payout") == 0
         assert status(contract, scp) == (True, 0, 0)
 
@@ -337,7 +351,7 @@ class TestClosePeriod:
         contract.close_period(owner)
         assert contract.registry[scp].served == {}
 
-    def test_payouts_in_address_order_whatever_the_registration_order(self, ledger):
+    def test_payouts_in_address_order_whatever_the_registration_order(self, ledger, events):
         owner = ledger.create_account(10_000, "mno")
         contract = SlaContract(ledger, owner)
         addresses = ["scp-c", "scp-a", "scp-d", "scp-b"]
@@ -350,7 +364,7 @@ class TestClosePeriod:
         contract.register_scp(owner, "scp-d", make_terms())
         contract.close_period(owner)
         assert list(contract.registry) == sorted(addresses)
-        payouts = [e for e in ledger.events if e.kind is EventKind.PERIODIC_PAYOUT]
+        payouts = [e for e in events if e.kind is EventKind.PERIODIC_PAYOUT]
         for period in range(4):
             assert [e.subject for e in payouts if e.period == period] == (
                 ["scp-a", "scp-b", "scp-c"] + (["scp-d"] if period in (0, 1, 3) else [])
@@ -374,7 +388,7 @@ class TestClosePeriod:
         assert contract.registry[scp].served == {1: 1000, 5: 0}
         assert ledger.current_period == 0
 
-    def test_cover_counts_removed_archived_and_clamps_debt(self, ledger):
+    def test_cover_counts_removed_archived_and_clamps_debt(self, ledger, events):
         """The escrow must cover every positive credit once the payouts accrue.
 
         That is a removed provider's frozen credit, an archived record's
@@ -404,7 +418,7 @@ class TestClosePeriod:
         before = (
             contract.canonical_state(),
             ledger.current_period,
-            list(ledger.events),
+            list(events),
             list(ledger.txlog),
         )
         with pytest.raises(InsufficientEscrowForAccrual, match=f"credits {owed} "):
@@ -412,7 +426,7 @@ class TestClosePeriod:
         after = (
             contract.canonical_state(),
             ledger.current_period,
-            list(ledger.events),
+            list(events),
             list(ledger.txlog),
         )
         assert after == before
@@ -485,14 +499,14 @@ class TestThroughputBreach:
         assert removal == 5
         assert removal == strike_oracle_removal_period(pattern, 3)
 
-    def test_removal_event_and_credit_preserved(self, world):
+    def test_removal_event_and_credit_preserved(self, world, events):
         ledger, contract, owner, scp = world
         for _ in range(3):
             contract.throughput_breach(owner, scp, 1, 10)
             contract.close_period(owner)
         active, credit, strikes = status(contract, scp)
         assert (active, credit, strikes) == (False, -150, 3)
-        removals = [e for e in ledger.events if e.kind is EventKind.SCP_REMOVED]
+        removals = [e for e in events if e.kind is EventKind.SCP_REMOVED]
         assert [e.subject for e in removals] == [scp]
 
     @settings(max_examples=100, deadline=None)
@@ -548,7 +562,7 @@ class TestWithdraw:
         assert contract.registry[scp].credit == 150  # 200 - 50
         assert contract.withdraw(scp) == 150
 
-    def test_archived_credit_is_paid_and_nothing_is_stranded(self, world):
+    def test_archived_credit_is_paid_and_nothing_is_stranded(self, world, events):
         ledger, contract, owner, scp = world
         other = ledger.create_account(0, "scp-2")
         contract.register_scp(owner, other, make_terms(strike_limit=1))
@@ -567,14 +581,14 @@ class TestWithdraw:
         assert contract.withdraw(other) == 1995 + 30
         assert [rec.credit for rec in contract.archived] == [0]
         assert contract.positive_credit_sum() == 0
-        assert registry_matches_events(contract) is None
+        assert registry_matches_events(contract, fold_of(events)) is None
         with pytest.raises(NothingToWithdraw):
             contract.withdraw(other)
         contract.recover_escrow(owner)
         assert contract.escrow == 0
         assert ledger.balance(other) == 2025
 
-    def test_archived_debt_stays_frozen(self, world):
+    def test_archived_debt_stays_frozen(self, world, events):
         ledger, contract, owner, scp = world
         for _ in range(3):  # credit -150, removed
             contract.throughput_breach(owner, scp, 1, 10)
@@ -584,7 +598,7 @@ class TestWithdraw:
         contract.close_period(owner)
         assert contract.withdraw(scp) == 200  # not netted against the old debt
         assert [rec.credit for rec in contract.archived] == [-150]
-        assert registry_matches_events(contract) is None
+        assert registry_matches_events(contract, fold_of(events)) is None
 
     @settings(max_examples=40, deadline=None)
     @given(kb=st.integers(min_value=0, max_value=5_000), double=st.booleans())
@@ -673,7 +687,7 @@ class TestFailSafe:
 
 
 class TestEventReconstruction:
-    def test_busy_history_matches_registry(self, ledger):
+    def test_busy_history_matches_registry(self, ledger, events):
         owner = ledger.create_account(1_000_000, "mno")
         contract = SlaContract(ledger, owner)
         scps = [ledger.create_account(0, f"scp-{i}") for i in range(3)]
@@ -692,9 +706,9 @@ class TestEventReconstruction:
                 contract.throughput_breach(owner, scps[1], 5, 7)
             contract.close_period(owner)
         contract.withdraw(scps[2])
-        assert registry_matches_events(contract) is None
+        assert registry_matches_events(contract, fold_of(events)) is None
 
-    def test_reregistered_provider_matches_registry(self, world):
+    def test_reregistered_provider_matches_registry(self, world, events):
         ledger, contract, owner, scp = world
         contract.record_traffic(owner, [100, 0])
         contract.close_period(owner)
@@ -702,11 +716,11 @@ class TestEventReconstruction:
             contract.throughput_breach(owner, scp, 1, 10)
             contract.close_period(owner)
         assert not contract.registry[scp].active
-        assert registry_matches_events(contract) is None
+        assert registry_matches_events(contract, fold_of(events)) is None
         contract.register_scp(owner, scp, make_terms())
         contract.throughput_breach(owner, scp, 5, 1)
         contract.close_period(owner)
-        assert registry_matches_events(contract) is None
-        row = rows_from_events(ledger.events, ledger.current_period)[scp]
+        assert registry_matches_events(contract, fold_of(events)) is None
+        row = fold_of(events).rows(ledger.current_period)[scp]
         assert (row.earned, row.penalized, row.final_credit) == (0, 5, -5)
         assert row.removal_period is None

@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_terms
-from slasim import EventKind, Ledger, SlaContract
+from slasim import EventKind, Ledger
 from slasim.errors import DuplicateAddress, InsufficientFunds, UnknownAddress
 from slasim.ledger import _FOLD_BATCH
-from slasim.report import RowFold, rows_from_events
-from slasim.verify import registry_matches_events
 
 
 class TestAccounts:
@@ -94,26 +91,26 @@ class TestEvents:
         indices = [ledger.append_event(EventKind.DEPOSIT, "a") for _ in range(3)]
         assert indices == [0, 1, 2]
 
-    def test_readback(self, ledger):
+    def test_readback(self, ledger, events):
         ledger.append_event(
             EventKind.INSUFFICIENT_THROUGHPUT, "scp", qci=5, payload=(("deficit", 7),)
         )
-        [record] = ledger.events
+        [record] = events
         assert record.kind is EventKind.INSUFFICIENT_THROUGHPUT
         assert record.subject == "scp"
         assert record.qci == 5
         assert record.payload == (("deficit", 7),)
 
-    def test_no_filter_returns_everything_in_order(self, ledger):
+    def test_no_filter_returns_everything_in_order(self, ledger, events):
         for i in range(4):
             ledger.append_event(EventKind.DEPOSIT, f"a{i}")
-        assert [r.index for r in ledger.events] == [0, 1, 2, 3]
+        assert [r.index for r in events] == [0, 1, 2, 3]
 
-    def test_append_only_prefix(self, ledger):
+    def test_append_only_prefix(self, ledger, events):
         ledger.append_event(EventKind.DEPOSIT, "a")
-        earlier = list(ledger.events)
+        earlier = list(events)
         ledger.append_event(EventKind.DEPOSIT, "b")
-        later = list(ledger.events)
+        later = list(events)
         assert later[: len(earlier)] == earlier
 
 
@@ -126,10 +123,10 @@ class TestPeriodClock:
             ledger.advance_period()
         assert ledger.current_period == 7
 
-    def test_events_carry_new_period(self, ledger):
+    def test_events_carry_new_period(self, ledger, events):
         ledger.advance_period()
         ledger.append_event(EventKind.DEPOSIT, "a")
-        assert ledger.events[0].period == 1
+        assert events[0].period == 1
 
 
 class TestDigest:
@@ -202,27 +199,34 @@ class TestRollingEventDigest:
         def digest(**fields):
             ledger = Ledger()
             ledger.append_event(EventKind.DEPOSIT, "a", qci=1, payload=(("amount", 7),))
-            ledger.events[0] = ledger.events[0]._replace(**fields)
+            ledger._events[0] = ledger._events[0]._replace(**fields)  # the unfolded tail
             return ledger.state_digest()
 
         assert digest(**change) != digest()
 
-    def test_canonical_state_holds_count_and_documented_sha256(self, ledger):
+    def test_canonical_state_holds_count_and_documented_sha256(self, ledger, events):
         event_history(ledger)
-        rows = "".join(
-            json.dumps(
-                [e.index, e.period, e.kind.value, e.subject, e.qci, e.payload],
-                separators=(",", ":"),
-            )
-            + ","
-            for e in ledger.events
+        assert joined_rows(events).startswith('[0,0,"Deposit","a",null,[["amount",0]]],[1,0,')
+        assert ledger.canonical_state()["events"] == documented_events_state(events)
+        assert len(events) == 12
+
+
+def joined_rows(events):
+    """The documented digest rows, ``[index,period,"Kind",subject,qci,payload],`` each."""
+    return "".join(
+        json.dumps(
+            [e.index, e.period, e.kind.value, e.subject, e.qci, e.payload],
+            separators=(",", ":"),
         )
-        assert rows.startswith('[0,0,"Deposit","a",null,[["amount",0]]],[1,0,')
-        assert ledger.canonical_state()["events"] == {
-            "count": len(ledger.events),
-            "sha256": hashlib.sha256(rows.encode("utf-8")).hexdigest(),
-        }
-        assert len(ledger.events) == 12
+        + ","
+        for e in events
+    )
+
+
+def documented_events_state(events):
+    """The ``events`` entry of ``canonical_state`` that ``events`` must give."""
+    sha256 = hashlib.sha256(joined_rows(events).encode("utf-8")).hexdigest()
+    return {"count": len(events), "sha256": sha256}
 
 
 def settlement_events(ledger, count, probe):
@@ -243,40 +247,37 @@ def settlement_events(ledger, count, probe):
             probe()
 
 
+def assert_keeps_only_the_unfolded_tail(ledger):
+    indices = [ledger.append_event(EventKind.DEPOSIT, "a") for _ in range(3 * _FOLD_BATCH)]
+    assert indices == list(range(3 * _FOLD_BATCH))
+    assert ledger._events == []  # every full batch was folded and dropped
+    ledger.append_event(EventKind.DEPOSIT, "a")
+    assert len(ledger._events) == 1
+    ledger.state_digest()
+    assert ledger._events == []
+
+
 class TestEventSink:
+    """A sink only hears the events: it changes no state of the ledger."""
+
     @pytest.mark.parametrize("count", [0, 255, 256, 257, 513])
     def test_sink_ledger_equals_list_ledger(self, count):
-        fold = RowFold()
-        streamed, listed = Ledger(events=fold.add), Ledger()
-        probes = {streamed: [], listed: []}
-        for ledger in (streamed, listed):
+        heard = []
+        streamed, sinkless = Ledger(events=heard.append), Ledger()
+        probes = {streamed: [], sinkless: []}
+        for ledger in (streamed, sinkless):
             settlement_events(ledger, count, lambda: probes[ledger].append(ledger.state_digest()))
-        assert probes[streamed] == probes[listed]
-        assert len(probes[listed]) == (count > 100) + (count > 300)
-        assert streamed.canonical_state() == listed.canonical_state()
+        assert probes[streamed] == probes[sinkless]
+        assert len(probes[sinkless]) == (count > 100) + (count > 300)
+        assert streamed.txlog == sinkless.txlog
+        assert streamed.canonical_state() == sinkless.canonical_state()
         assert streamed.canonical_state()["events"]["count"] == streamed.num_events == count
-        assert streamed.state_digest() == listed.state_digest()
-        periods = listed.current_period + 1
-        assert fold.rows(periods) == rows_from_events(listed.events, periods)
-        assert len(listed.events) == count
+        assert streamed.state_digest() == sinkless.state_digest()
+        assert [e.index for e in heard] == list(range(count))
+        assert sinkless.canonical_state()["events"] == documented_events_state(heard)
 
     def test_sink_ledger_keeps_only_the_unfolded_tail(self):
-        streamed = Ledger(events=lambda event: None)
-        indices = [streamed.append_event(EventKind.DEPOSIT, "a") for _ in range(3 * _FOLD_BATCH)]
-        assert indices == list(range(3 * _FOLD_BATCH))
-        assert streamed._events == []  # every full batch was folded and dropped
-        streamed.append_event(EventKind.DEPOSIT, "a")
-        assert len(streamed._events) == 1
-        streamed.state_digest()
-        assert streamed._events == []
+        assert_keeps_only_the_unfolded_tail(Ledger(events=lambda event: None))
 
-    def test_events_of_a_sink_ledger_cannot_be_read(self):
-        ledger = Ledger(events=lambda event: None)
-        owner = ledger.create_account(10_000, "mno")
-        contract = SlaContract(ledger, owner)
-        contract.register_scp(owner, ledger.create_account(0, "scp-1"), make_terms())
-        # the events are not kept: a reader must fail, never see only the tail
-        with pytest.raises(RuntimeError, match="keeps no list"):
-            ledger.events
-        with pytest.raises(RuntimeError, match="keeps no list"):
-            registry_matches_events(contract)
+    def test_sinkless_ledger_keeps_only_the_unfolded_tail(self):
+        assert_keeps_only_the_unfolded_tail(Ledger())

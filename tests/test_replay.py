@@ -7,15 +7,15 @@ import warnings
 
 import pytest
 
-from conftest import make_flat_terms, make_terms
+from conftest import folded_run, make_flat_terms, make_terms
 from test_config import NON_CANONICAL_QCI_KEYS, NON_INTEGER_TERMS, valid_dict
+from test_ledger import documented_events_state
 from slasim import Ledger, SlaContract, replay
-from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_run, setup_run
+from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_run
 from slasim.config import config_from_dict
 from slasim.errors import DigestMismatch, MalformedLog
 from slasim.ledger import _FOLD_BATCH, EventRecord
 from slasim.replay import load_txlog, replay_entries, replay_file
-from slasim.report import RowFold, rows_from_events
 from slasim.traffic import drive
 
 
@@ -125,13 +125,13 @@ def test_replay_keeps_no_log(tmp_path):
 
 
 def test_sink_ledger_equals_list_ledger_on_every_op():
-    fold = RowFold()
-    streamed, listed = every_op_world(Ledger(events=fold.add)), every_op_world()
-    assert streamed.txlog == listed.txlog
-    assert streamed.canonical_state() == listed.canonical_state()
-    assert streamed.state_digest() == listed.state_digest()
-    periods = listed.current_period
-    assert fold.rows(periods) == rows_from_events(listed.events, periods)
+    """A sink only hears the events: the ledger's log, state and digest are the same."""
+    heard = []
+    streamed, sinkless = every_op_world(Ledger(events=heard.append)), every_op_world()
+    assert streamed.txlog == sinkless.txlog
+    assert streamed.canonical_state() == sinkless.canonical_state()
+    assert streamed.state_digest() == sinkless.state_digest()
+    assert sinkless.canonical_state()["events"] == documented_events_state(heard)
 
 
 def sha256_of(path):
@@ -170,9 +170,9 @@ def test_spooled_log_equals_listed_log(tmp_path):
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     config = config_from_dict(data)
-    ledger, contract = setup_run(config)
+    ledger, contract, fold = folded_run(config)
     assert isinstance(ledger.txlog, list)
-    report = drive(ledger, contract, config)
+    report = drive(ledger, contract, config, fold)
     ledger.export_txlog(tmp_path / "listed.jsonl", digest=report.digest)
     spooled = (tmp_path / "full" / "txlog.jsonl").read_bytes()
     assert len(spooled) > 2**16
@@ -180,7 +180,8 @@ def test_spooled_log_equals_listed_log(tmp_path):
 
 
 def test_streamed_run_equals_listed_run(tmp_path):
-    """``run`` folds its events as they pass; a list-backed run reports the same."""
+    """``run`` spools its log and folds its events as they pass; an in-memory run
+    reports the same."""
     data = valid_dict()
     data["num_periods"] = 700
     data["escrow_deposit"] = 10**8
@@ -193,8 +194,8 @@ def test_streamed_run_equals_listed_run(tmp_path):
     path.write_text(json.dumps(data))
     assert cmd_run(str(path), str(tmp_path / "streamed")) == EXIT_OK
     config = config_from_dict(data)
-    ledger, contract = setup_run(config)
-    report = drive(ledger, contract, config)
+    ledger, contract, fold = folded_run(config)
+    report = drive(ledger, contract, config, fold)
     assert report.rows["scp-1"].removal_period is not None
     assert report.num_events > 4 * _FOLD_BATCH
     listed = tmp_path / "listed"
@@ -219,8 +220,8 @@ def test_streamed_run_equals_listed_run(tmp_path):
 def driven_log(tmp_path):
     """Export the log of a drive run: scp-1 is removed in period 3 of 5."""
     config = config_from_dict(valid_dict())
-    ledger, contract = setup_run(config)
-    report = drive(ledger, contract, config)
+    ledger, contract, fold = folded_run(config)
+    report = drive(ledger, contract, config, fold)
     path = tmp_path / "driven.jsonl"
     ledger.export_txlog(path)
     return path, report

@@ -10,9 +10,8 @@ import ast
 import importlib
 from pathlib import Path
 
-from conftest import make_terms
+from conftest import folded_run, make_terms
 from slasim import ScenarioConfig, ScpScenario, TrafficModel, rng, traffic
-from slasim.cli import setup_run
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -99,7 +98,7 @@ def test_drive_reaches_the_patched_names(monkeypatch):
                           traffic={1: TrafficModel(nominal_kb=900, variability=(1, 3)),
                                    5: TrafficModel(nominal_kb=600)})],
     )
-    ledger, contract = setup_run(config)
-    traffic.drive(ledger, contract, config)
+    ledger, contract, fold = folded_run(config)
+    traffic.drive(ledger, contract, config, fold)
     # stream_key makes three scalar draws per stream; the trace makes none
     assert calls == {"generate_trace": 1, "detect_breaches": 7, "splitmix64": 6}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_terms
+from conftest import folded_run, make_terms
 from slasim import (
     DegradationWindow,
     EventKind,
@@ -93,8 +93,8 @@ class TestGenerateTrace:
         values = [only_kb(trace, p) for p in range(20)]
         assert all(0 <= v <= 2 * nominal for v in values)
         assert max(values) > nominal
-        ledger, contract = setup_run(config)
-        assert drive(ledger, contract, config).rows["scp-1"].withdrawn == 2 * sum(values)
+        ledger, contract, fold = folded_run(config)
+        assert drive(ledger, contract, config, fold).rows["scp-1"].withdrawn == 2 * sum(values)
 
     def test_slices_in_label_and_qci_order(self):
         terms = make_terms()  # QCIs 1 and 5
@@ -265,8 +265,8 @@ class TestDrive:
         # no degradation, zero variability, measured 1000 >= agreed 800:
         # withdrawn = price * nominal * periods = 2 * 1000 * 10
         config = scenario()
-        ledger, contract = setup_run(config)
-        report = drive(ledger, contract, config)
+        ledger, contract, fold = folded_run(config)
+        report = drive(ledger, contract, config, fold)
         row = report.rows["scp-1"]
         assert row.withdrawn == 2 * 1000 * 10
         assert row.penalized == 0
@@ -274,21 +274,21 @@ class TestDrive:
 
     def test_full_outage_removes_at_third_period(self):
         config = scenario(degradations=[DegradationWindow(2, 7, (0, 1))], agreed=800)
-        ledger, contract = setup_run(config)
-        report = drive(ledger, contract, config)
+        ledger, contract, fold = folded_run(config)
+        report = drive(ledger, contract, config, fold)
         row = report.rows["scp-1"]
         assert row.removal_period == 4  # breaches in periods 2, 3, 4
         # periods 5-9 hold no events: the frozen count is padded to the end
         assert row.strikes_timeline == [0, 0, 1, 2, 3, 3, 3, 3, 3, 3]
         assert contract.registry["scp-1"].active is False
         # removal happens before the period-4 close, so the last payout is period 3
-        payouts = [e for e in ledger.events if e.kind is EventKind.PERIODIC_PAYOUT]
+        payouts = [e for e in fold.events if e.kind is EventKind.PERIODIC_PAYOUT]
         assert max(e.period for e in payouts) == 3
 
     def test_zero_period_scenario(self):
         config = scenario(num_periods=0)
-        ledger, contract = setup_run(config)
-        report = drive(ledger, contract, config)
+        ledger, contract, fold = folded_run(config)
+        report = drive(ledger, contract, config, fold)
         row = report.rows["scp-1"]
         assert (row.earned, row.penalized, row.withdrawn) == (0, 0, 0)
         assert contract.total_deposits == contract.escrow
@@ -296,11 +296,11 @@ class TestDrive:
     def test_report_matches_event_log(self):
         config = scenario(variability=(1, 4), agreed=1000, num_periods=30,
                           degradations=[DegradationWindow(10, 11, (1, 2))])
-        ledger, contract = setup_run(config)
-        drive(ledger, contract, config)
+        ledger, contract, fold = folded_run(config)
+        drive(ledger, contract, config, fold)
         # the rows are folded from the event log; check that fold against
         # the live registry, which the contract keeps on its own
-        assert registry_matches_events(contract) is None
+        assert registry_matches_events(contract, fold) is None
 
     def test_breach_event_count_matches_detection(self):
         config = scenario(variability=(1, 4), agreed=1000, num_periods=20)
@@ -319,9 +319,9 @@ class TestDrive:
                         removed_at = period
                 else:
                     strikes = 0
-        ledger, contract = setup_run(config)
-        drive(ledger, contract, config)
-        fired = [e for e in ledger.events if e.kind is EventKind.INSUFFICIENT_THROUGHPUT]
+        ledger, contract, fold = folded_run(config)
+        drive(ledger, contract, config, fold)
+        fired = [e for e in fold.events if e.kind is EventKind.INSUFFICIENT_THROUGHPUT]
         assert len(fired) == expected
 
     def test_removed_streams_leave_the_vector(self):
@@ -337,8 +337,8 @@ class TestDrive:
                 )
             )
         trace = generate_trace(config)
-        ledger, contract = setup_run(config)
-        report = drive(ledger, contract, config, trace=trace)
+        ledger, contract, fold = folded_run(config)
+        report = drive(ledger, contract, config, fold, trace=trace)
         removed = report.rows["scp-1"].removal_period
         assert removed is not None and removed < 25
         vectors = [entry["kb"] for entry in ledger.txlog if entry["op"] == "record_traffic"]
@@ -350,12 +350,12 @@ class TestDrive:
                 if label != "scp-1" or period <= removed
             ]
             assert kb == tuple(expected)
-        assert registry_matches_events(contract) is None
+        assert registry_matches_events(contract, fold) is None
 
     def test_run_twice_identical_reports(self):
         config = scenario(variability=(1, 3), agreed=950, num_periods=25)
         results = []
         for _ in range(2):
-            ledger, contract = setup_run(config)
-            results.append(drive(ledger, contract, config).to_dict())
+            ledger, contract, fold = folded_run(config)
+            results.append(drive(ledger, contract, config, fold).to_dict())
         assert results[0] == results[1]
