@@ -28,6 +28,7 @@ fund conservation on the ledger is structural, not bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .config import FLAT_RATE, SlaTerms, to_json
@@ -58,7 +59,21 @@ class ScpRecord:
     credit: int = 0  # signed; negative = debt
     consecutive_strikes: int = 0
     breached_this_period: bool = False
-    served: Dict[int, int] = field(default_factory=dict)  # per-QCI kb this period
+    # this period's kb, one value per QCI of ``qcis``; None until traffic is recorded
+    kb: Optional[List[int]] = None
+    # read once from the terms, which are the contract's own copy and never change
+    qcis: Tuple[int, ...] = field(init=False)  # the agreed QCIs, ascending
+    prices: Tuple[int, ...] = field(init=False)  # price_per_kb per QCI of ``qcis``
+
+    def __post_init__(self) -> None:
+        self.qcis = tuple(sorted(self.terms.agreed_throughput))
+        self.prices = tuple(self.terms.price_per_kb.get(qci, 0) for qci in self.qcis)
+
+    @property
+    def served(self) -> Dict[int, int]:
+        """Per-QCI kb this period.  Every ``record_traffic`` call covers each
+        agreed QCI of an active record, so the map holds all of them or none."""
+        return {} if self.kb is None else dict(zip(self.qcis, self.kb))
 
     def canonical_state(self) -> dict:
         return {
@@ -67,7 +82,7 @@ class ScpRecord:
             "credit": self.credit,
             "consecutive_strikes": self.consecutive_strikes,
             "breached_this_period": self.breached_this_period,
-            "served": {str(q): self.served[q] for q in sorted(self.served)},
+            "served": {str(qci): kb for qci, kb in self.served.items()},  # QCIs ascending
             "terms": to_json(self.terms),
         }
 
@@ -85,10 +100,11 @@ class SlaContract:
         self.account = ledger._new_account(0, f"{self.id}:escrow")
         self.registry: Dict[str, ScpRecord] = {}  # in address order
         self.archived: List[ScpRecord] = []
-        # the stream order record_traffic reads; derived from the registry,
+        # the stream order record_traffic reads, as one (record, start, end)
+        # slice of the kb vector per active record; derived from the registry,
         # so it is rebuilt when a record joins or leaves the active set and
         # is not part of canonical_state
-        self._streams: List[Tuple[ScpRecord, int]] = []
+        self._spans: List[Tuple[ScpRecord, int, int]] = []
         self.disabled = False
         self.total_deposits = 0
         self.total_withdrawn = 0
@@ -115,12 +131,13 @@ class SlaContract:
         return record
 
     def _rebuild_streams(self) -> None:
-        self._streams = [
-            (record, qci)
-            for record in self.registry.values()
-            if record.active
-            for qci in sorted(record.terms.agreed_throughput)
-        ]
+        spans = []
+        end = 0
+        for record in self.registry.values():
+            if record.active:
+                start, end = end, end + len(record.qcis)
+                spans.append((record, start, end))
+        self._spans = spans
 
     # --- registration and funding -------------------------------------------
 
@@ -164,29 +181,31 @@ class SlaContract:
     @property
     def stream_order(self) -> List[Tuple[str, int]]:
         """The ``(scp, qci)`` stream that each ``record_traffic`` value is for."""
-        return [(record.address, qci) for record, qci in self._streams]
+        return [(record.address, qci) for record, _, _ in self._spans for qci in record.qcis]
 
     def record_traffic(self, caller: str, kb: Iterable[int]) -> None:
         """Record one period's served kb, one value per stream of ``stream_order``.
 
-        The whole vector is checked before any ``served`` counter changes, so
-        a bad call changes nothing.  The entry logs the values as a tuple,
-        which the caller cannot change afterwards.
+        The whole vector is checked before any record's ``kb`` changes, so a
+        bad call changes nothing.  Each active record then takes its slice of
+        the vector, added to what the period has recorded so far.  The entry
+        logs the values as a tuple, which the caller cannot change afterwards.
         """
         self._require_owner(caller)
         self._require_enabled()
         logged = tuple(kb)
-        streams = self._streams
-        if len(logged) != len(streams):
+        spans = self._spans
+        width = spans[-1][2] if spans else 0
+        if len(logged) != width:
             raise ValueError(
-                f"expected {len(streams)} kb values, one per active stream, got {len(logged)}"
+                f"expected {width} kb values, one per active stream, got {len(logged)}"
             )
         if set(map(type, logged)) - {int} or min(logged, default=0) < 0:
             bad = next(value for value in logged if type(value) is not int or value < 0)
             raise ValueError(f"kb values must be integers >= 0, got {bad!r}")
-        for (record, qci), value in zip(streams, logged):
-            served = record.served
-            served[qci] = served.get(qci, 0) + value
+        for record, start, end in spans:
+            part = logged[start:end]
+            record.kb = list(part) if record.kb is None else list(map(add, record.kb, part))
         self.ledger._log("record_traffic", contract=self.id, caller=caller, kb=logged)
 
     def throughput_breach(self, caller: str, scp: str, qci: int, deficit: int) -> None:
@@ -223,13 +242,9 @@ class SlaContract:
         )
 
     def _payout_for(self, record: ScpRecord) -> int:
-        terms = record.terms
-        if terms.payment_mode == FLAT_RATE:
-            return terms.flat_rate_per_period
-        return sum(
-            terms.price_per_kb[qci] * record.served.get(qci, 0)
-            for qci in terms.price_per_kb
-        )
+        if record.terms.payment_mode == FLAT_RATE:
+            return record.terms.flat_rate_per_period
+        return 0 if record.kb is None else sum(map(mul, record.prices, record.kb))
 
     def close_period(self, caller: str) -> None:
         """Accrue payouts, apply the strike-reset rule, advance the clock.
@@ -261,18 +276,20 @@ class SlaContract:
         period = self.ledger.current_period
         for record, payout in payouts:
             record.credit += payout
-            self.ledger.append_event(
-                EventKind.PERIODIC_PAYOUT,
-                record.address,
-                payload=(("payout", payout), ("period", period)),
-            )
             if not record.breached_this_period:
                 record.consecutive_strikes = 0
             record.breached_this_period = False
-            record.served.clear()
+            record.kb = None
         for record in removed:
             record.breached_this_period = False
-            record.served.clear()
+            record.kb = None
+        self.ledger.append_events(
+            EventKind.PERIODIC_PAYOUT,
+            [
+                (record.address, None, (("payout", payout), ("period", period)))
+                for record, payout in payouts
+            ],
+        )
         self.ledger.advance_period()
         self.ledger._log("close_period", contract=self.id, caller=caller)
 

@@ -25,7 +25,7 @@ import json
 import shutil
 import tempfile
 from enum import Enum
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import DuplicateAddress, InsufficientFunds, UnknownAddress
 from .fileio import atomic_write
@@ -34,10 +34,10 @@ TXLOG_FORMAT = "slasim-txlog"
 TXLOG_VERSION = 5  # 5: record_traffic takes one kb value per stream, in stream order
 TXLOG_HEADER_KEYS = frozenset({"format", "version", "digest", "entries"})
 
-# Events folded into the digest per encoder call, so the events and JSON text
-# held at once stay small.  Records are encoded as they are (a NamedTuple is a
-# JSON array and EventKind a str), so a batch allocates only its text; the hash
-# does not depend on the batch size.
+# Events the digest lets build up before it folds them in one encoder call, so
+# the rows and JSON text held at once stay small.  Rows are encoded as they are
+# (a tuple is a JSON array and EventKind a str), so a fold allocates only its
+# text; the hash does not depend on how many rows each fold takes.
 _FOLD_BATCH = 256
 
 
@@ -55,8 +55,9 @@ class EventKind(str, Enum):
 class EventRecord(NamedTuple):
     """One immutable, indexed log entry.  Payload is ordered (name, value) pairs.
 
-    Its JSON array ``[index, period, kind, subject, qci, [[name, value], ...]]``
-    is the row the state digest folds (``Ledger._events_sha256``).
+    Its fields are the row the state digest folds (``Ledger._events_sha256``),
+    the JSON array ``[index, period, kind, subject, qci, [[name, value], ...]]``.
+    The ledger keeps rows as plain tuples and builds a record only for a sink.
     """
 
     index: int
@@ -74,6 +75,8 @@ class EventRecord(NamedTuple):
 
 
 EventSink = Callable[[EventRecord], None]  # handed each event as it is appended
+# one event of an ``append_events`` batch: (subject, qci, payload)
+EventItem = Tuple[str, Optional[int], Tuple[Tuple[str, int], ...]]
 
 
 class TxlogSpool:
@@ -123,7 +126,7 @@ class Ledger:
     ``txlog`` receives every logged entry: a list by default, or a
     ``TxlogSpool`` that writes the entries to disk as they are logged.
     ``events``, if given, is a sink handed each event as it is appended; the
-    ledger keeps only the tail its digest has not folded (< ``_FOLD_BATCH``).
+    ledger keeps only the rows its digest has not folded (< ``_FOLD_BATCH``).
     """
 
     def __init__(
@@ -131,7 +134,7 @@ class Ledger:
     ) -> None:
         self.balances: Dict[str, int] = {}
         self.num_events = 0
-        self._events: List[EventRecord] = []  # the tail the digest has not folded
+        self._events: List[tuple] = []  # the rows the digest has not folded
         self._sink = events
         self.current_period: int = 0
         self.txlog = [] if txlog is None else txlog
@@ -192,15 +195,29 @@ class Ledger:
         qci: Optional[int] = None,
         payload: Tuple[Tuple[str, int], ...] = (),
     ) -> int:
-        index = self.num_events
-        event = EventRecord(index, self.current_period, kind, subject, qci, tuple(payload))
-        self.num_events = index + 1
-        self._events.append(event)
+        return self.append_events(kind, [(subject, qci, tuple(payload))])
+
+    def append_events(self, kind: EventKind, items: Iterable[EventItem]) -> int:
+        """Append one ``kind`` event per ``(subject, qci, payload)`` item, in order.
+
+        Returns the index of the first.  Each event is held as its plain digest
+        row; a sink, if any, is handed it as an ``EventRecord``.  Once the rows
+        not yet folded reach ``_FOLD_BATCH``, all of them are folded.
+        """
+        first = self.num_events
+        period = self.current_period
+        rows = [
+            (index, period, kind, subject, qci, payload)
+            for index, (subject, qci, payload) in enumerate(items, first)
+        ]
+        self.num_events = first + len(rows)
         if self._sink is not None:
-            self._sink(event)
-        if len(self._events) == _FOLD_BATCH:
+            for row in rows:
+                self._sink(EventRecord._make(row))
+        self._events += rows
+        if len(self._events) >= _FOLD_BATCH:
             self._events_sha256()
-        return index
+        return first
 
     # --- period clock -----------------------------------------------------
 
@@ -220,7 +237,7 @@ class Ledger:
         self.contracts[contract.id] = contract
 
     def _events_sha256(self) -> str:
-        """Fold the unfolded tail, if any, into the running SHA-256 and drop it.
+        """Fold the unfolded rows, if any, into the running SHA-256 and drop them.
 
         Each event enters as the compact JSON array
         ``[index, period, kind, subject, qci, [[name, value], ...]]`` followed

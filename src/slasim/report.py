@@ -30,6 +30,29 @@ CSV_COLUMNS = [
 ]
 
 
+# A row's strike timeline sits at depth 4 of report.json: the indented encoder
+# puts each of its items on a line indented by 8 spaces, and its closing
+# bracket by 6.  While the rest is encoded, a NaN holds each timeline's place:
+# no other report value encodes to the bare token NaN.
+_TIMELINE_SLOT = float("nan")
+_TIMELINE_SEPARATOR = ",\n        "
+_TIMELINE_PIECE = 1024  # items per C-encoder call, so the text held at once stays small
+
+
+def _write_timeline(fh, timeline: List[int]) -> None:
+    """Write ``timeline`` as the indented encoder does in a row, by the C encoder."""
+    if not timeline:
+        fh.write("[]")
+        return
+    fh.write("[\n        ")
+    for start in range(0, len(timeline), _TIMELINE_PIECE):
+        piece = timeline[start:start + _TIMELINE_PIECE]
+        if start:
+            fh.write(_TIMELINE_SEPARATOR)
+        fh.write(json.dumps(piece, separators=(_TIMELINE_SEPARATOR, ": "))[1:-1])
+    fh.write("\n      ]")
+
+
 @dataclass
 class ScpRow:
     label: str
@@ -140,8 +163,22 @@ class RunReport:
         }
 
     def write_json(self, path) -> None:
+        """Write the report as ``json.dump(..., indent=2, sort_keys=True)`` does.
+
+        That encoder is pure Python.  The strike timelines, most of the
+        bytes, go through the C encoder instead: each is written where the
+        indented encoding of the rest yields its slot.
+        """
+        report = self.to_dict()
+        timelines = iter([row["strikes_timeline"] for row in report["scps"]])
+        for row in report["scps"]:
+            row["strikes_timeline"] = _TIMELINE_SLOT
         with atomic_write(path) as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(report):
+                if chunk == "NaN":
+                    _write_timeline(fh, next(timelines))
+                else:
+                    fh.write(chunk)
             fh.write("\n")
 
     def write_csv(self, path) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from contextlib import suppress
 from itertools import product
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from .config import PER_TRAFFIC, SlaTerms
 from .contract import SlaContract
@@ -65,12 +65,24 @@ def contract_removal_period(seq: Sequence[bool], limit: int = 3) -> Optional[int
 def check_strike_equivalence(max_len: int, limit: int = 3) -> Optional[dict]:
     """Compare contract vs oracle over every sequence up to max_len.
 
+    A contract run over a sequence makes the same calls as the first steps of
+    a run over any extension of it, so one run per length-``max_len``
+    sequence answers for all of its prefixes: a prefix of length L is removed
+    where its extension is, if that is before period L.  Each prefix takes
+    the extension padded with clean periods, run when first needed.
+
     Returns None when all agree, else the first counterexample.
     """
+    runs: Dict[Tuple[bool, ...], Optional[int]] = {}
     for length in range(max_len + 1):
+        padding = (False,) * (max_len - length)
         for bits in product([False, True], repeat=length):
+            extended = bits + padding
+            if extended not in runs:
+                runs[extended] = contract_removal_period(extended, limit)
+            removal = runs[extended]
             expected = strike_oracle_removal_period(bits, limit)
-            actual = contract_removal_period(bits, limit)
+            actual = removal if removal is not None and removal < length else None
             if expected != actual:
                 return {
                     "sequence": list(bits),

@@ -6,11 +6,12 @@ hold, so ``pytest -s tests/test_acceptance.py`` reads as a checklist.
 
 import json
 import time
+from itertools import product
 
 import pytest
 
 from conftest import folded_run, make_terms
-from slasim import Ledger, SlaContract
+from slasim import Ledger, SlaContract, verify
 from slasim.cli import (
     FUZZ_OPS,
     FUZZ_SEED,
@@ -26,6 +27,7 @@ from slasim.verify import (
     check_strike_equivalence,
     conservation_fuzz,
     registry_matches_events,
+    strike_oracle_removal_period,
 )
 
 
@@ -63,6 +65,51 @@ def test_three_strike_oracle_equivalence():
     counterexample = check_strike_equivalence(8)
     assert counterexample is None, counterexample
     passed("3-strike removal equals brute-force oracle for all sequences <= 8")
+
+
+def per_sequence_counterexample(max_len, limit=3):
+    """The strike check with one contract run per sequence, the reference for
+    ``check_strike_equivalence``'s shared prefix runs."""
+    for length in range(max_len + 1):
+        for bits in product([False, True], repeat=length):
+            expected = strike_oracle_removal_period(bits, limit)
+            actual = verify.contract_removal_period(bits, limit)
+            if expected != actual:
+                return {"sequence": list(bits), "oracle": expected, "contract": actual}
+    return None
+
+
+def removed_without_reset(seq, limit=3):
+    """A contract whose clean periods never reset the strike count."""
+    strikes = 0
+    for period, breached in enumerate(seq):
+        strikes += breached
+        if strikes >= limit:
+            return period
+    return None
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [None, lambda seq, limit=3: strike_oracle_removal_period(seq, limit + 1),
+     removed_without_reset],
+    ids=["contract", "removed-late", "no-reset"],
+)
+def test_shared_prefix_runs_find_the_same_counterexample(monkeypatch, mutant):
+    if mutant is not None:
+        monkeypatch.setattr(verify, "contract_removal_period", mutant)
+    reference = per_sequence_counterexample(6)
+    runs = []
+    counted = verify.contract_removal_period
+    monkeypatch.setattr(
+        verify, "contract_removal_period", lambda seq, limit=3: runs.append(seq) or counted(seq, limit)
+    )
+    assert check_strike_equivalence(6) == reference
+    assert (reference is None) == (mutant is None)
+    assert all(len(seq) == 6 for seq in runs)
+    assert len(set(runs)) == len(runs) <= 2**6
+    if reference is None:
+        assert len(runs) == 2**6  # against 127 runs, one per sequence
 
 
 def test_penalty_proportionality():

@@ -168,12 +168,24 @@ def test_csv_and_json_agree(config_file, tmp_path):
         assert (None if removal == "" else int(removal)) == json_row["removal_period"]
 
 
+def test_report_json_is_the_indented_encoding(tmp_path):
+    """``write_json`` writes C-encoded timelines into the indented encoding of
+    the rest; the bytes are those of one indented ``json.dump``."""
+    long = [period % 4 for period in range(2 * report._TIMELINE_PIECE + 1)]
+    tricky = '"NaN" NaN'  # a label holding the token that marks a timeline's slot
+    timelines = {"a": [], "b": [0], tricky: [0, 1, 2], "\u00fc": long}
+    rows = {label: report.ScpRow(label, strikes_timeline=t) for label, t in timelines.items()}
+    written = report.RunReport(seed=1, config_echo={"scps": [{"label": tricky}]}, rows=rows)
+    written.write_json(tmp_path / REPORT_JSON)
+    expected = json.dumps(written.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / REPORT_JSON).read_bytes() == expected.encode("utf-8")
+
+
 def _disk_full():
     return OSError(errno.ENOSPC, "No space left on device")
 
 
-def _json_dump_failing_partway(obj, fh, **kwargs):
-    fh.write(json.dumps(obj, **kwargs)[:20])
+def _timeline_failing(fh, timeline):
     raise _disk_full()
 
 
@@ -198,9 +210,10 @@ def test_failed_write_keeps_existing_output(config_file, tmp_path, monkeypatch, 
     out = tmp_path / "out"
     assert run_cli("run", "--config", config_file, "--out", out) == EXIT_OK
     before = {path.name: path.read_bytes() for path in out.iterdir()}
-    # the encoder writes part of the file, then the disk fills up
+    # the encoder writes part of the file, then the disk fills up; report.json's
+    # head is written before its first strike timeline
     module, name, encoder = {
-        REPORT_JSON: (report, "json", SimpleNamespace(dump=_json_dump_failing_partway)),
+        REPORT_JSON: (report, "_write_timeline", _timeline_failing),
         REPORT_CSV: (report, "csv", SimpleNamespace(writer=_csv_writer_failing_partway)),
         # the log is spooled as it is logged: setup_run logs five entries and
         # the sixth, the first period's traffic, fails inside drive

@@ -3,11 +3,12 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fold_of, make_flat_terms, make_terms
-from slasim import EventKind, Ledger, SlaContract, SlaTerms
+from slasim import FLAT_RATE, EventKind, Ledger, SlaContract, SlaTerms
+from slasim.config import to_json
 from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_replay
 from slasim.errors import (
     AlreadyDisabled,
@@ -724,3 +725,172 @@ class TestEventReconstruction:
         row = fold_of(events).rows(ledger.current_period)[scp]
         assert (row.earned, row.penalized, row.final_credit) == (0, 5, -5)
         assert row.removal_period is None
+
+
+class ReferenceRecord:
+    """One provider's settlement as the reference keeps it: a ``served`` dict
+    per record, one entry per stream that has recorded traffic this period."""
+
+    def __init__(self, address, terms):
+        self.address, self.terms = address, terms
+        self.active, self.credit, self.strikes, self.breached = True, 0, 0, False
+        self.served = {}
+
+    def canonical_state(self):
+        return {
+            "address": self.address,
+            "active": self.active,
+            "credit": self.credit,
+            "consecutive_strikes": self.strikes,
+            "breached_this_period": self.breached,
+            "served": {str(qci): self.served[qci] for qci in sorted(self.served)},
+            "terms": to_json(self.terms),
+        }
+
+
+class SettlementReference:
+    """Per-stream settlement: each ``record_traffic`` value is added to its
+    stream's entry of its record's ``served`` dict, and a per-traffic payout
+    sums ``price * served`` over the priced QCIs.  Terms are never mutated
+    here, so the caller's objects stand in for the contract's copies."""
+
+    def __init__(self):
+        self.registry, self.archived = {}, []
+
+    def register(self, address, terms):
+        if address in self.registry:
+            self.archived.append(self.registry[address])
+        self.registry[address] = ReferenceRecord(address, terms)
+
+    def stream_order(self):
+        return [
+            (address, qci)
+            for address, record in sorted(self.registry.items())
+            if record.active
+            for qci in sorted(record.terms.agreed_throughput)
+        ]
+
+    def record_traffic(self, kb):
+        for (address, qci), value in zip(self.stream_order(), kb):
+            served = self.registry[address].served
+            served[qci] = served.get(qci, 0) + value
+
+    def breach(self, address, qci, deficit):
+        record = self.registry[address]
+        num, den = record.terms.penalty_rate
+        record.credit -= num * deficit // den
+        if not record.breached:
+            record.breached = True
+            record.strikes += 1
+            record.active = record.strikes < record.terms.strike_limit
+
+    def close(self):
+        for record in self.registry.values():
+            if record.active:
+                terms = record.terms
+                if terms.payment_mode == FLAT_RATE:
+                    record.credit += terms.flat_rate_per_period
+                else:
+                    record.credit += sum(
+                        price * record.served.get(qci, 0)
+                        for qci, price in terms.price_per_kb.items()
+                    )
+                if not record.breached:
+                    record.strikes = 0
+            record.breached = False
+            record.served.clear()
+
+
+SETTLEMENT_TERMS = [
+    make_terms(strike_limit=2),  # QCIs 1 and 5
+    make_terms(agreed_throughput={9: 10, 2: 10, 7: 10}, price_per_kb={2: 1, 7: 3, 9: 5},
+               strike_limit=1),
+    make_flat_terms(rate=40, strike_limit=2),
+]
+SETTLEMENT_SCPS = ["scp-c", "scp-a", "scp-b"]  # registered out of address order
+MAX_STREAMS = 9  # three providers, at most three QCIs each
+
+settlement_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("traffic"),
+                  st.lists(st.integers(0, 1000), min_size=MAX_STREAMS, max_size=MAX_STREAMS)),
+        st.tuples(st.just("breach"), st.integers(0, 2), st.integers(0, 2), st.integers(1, 50)),
+        st.tuples(st.just("register"), st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.just("close")),
+    ),
+    max_size=40,
+)
+
+
+class TestSettlementReference:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=settlement_ops)
+    @example(ops=[
+        ("traffic", [5, 6, 7, 1, 2, 0, 0, 0, 0]),
+        ("breach", 2, 0, 3),  # scp-b struck out between two traffic calls
+        ("traffic", [1, 2, 3, 4, 5, 0, 0, 0, 0]),
+        ("close",),  # clears the removed record's traffic too
+        ("traffic", [3, 4, 0, 0, 0, 0, 0, 0, 0]),
+        ("register", 2, 0),  # back mid-period under two QCIs
+        ("traffic", [1, 2, 3, 4, 0, 0, 0, 0, 0]),
+        ("close",),
+    ])
+    @example(ops=[
+        ("register", 0, 1),
+        ("traffic", [5, 6, 7, 1, 2, 3, 4, 5, 6]),
+        ("breach", 0, 1, 3),  # scp-c struck out between two traffic calls
+        ("traffic", [1, 2, 3, 4, 5, 6, 7, 8, 9]),
+        ("register", 0, 0),  # back in the same period: its struck-out record is archived
+        ("traffic", [10, 20, 30, 40, 50, 60, 70, 80, 90]),
+        ("register", 2, 2),  # a new address, mid-period
+        ("traffic", [1, 1, 1, 1, 1, 1, 1, 1, 1]),
+        ("close",),
+        ("traffic", [2, 2, 2, 2, 2, 2, 2, 2, 2]),
+        ("close",),
+    ])
+    def test_contract_settles_as_the_per_stream_reference(self, ops):
+        ledger = Ledger()
+        owner = ledger.create_account(10**9, "mno")
+        contract = SlaContract(ledger, owner)
+        reference = SettlementReference()
+        for address in SETTLEMENT_SCPS:
+            ledger.create_account(0, address)
+        for address, terms in zip(SETTLEMENT_SCPS[1:], SETTLEMENT_TERMS):
+            contract.register_scp(owner, address, terms)
+            reference.register(address, terms)
+        contract.deposit(owner, 10**9)
+        for op, *args in ops:
+            if op == "traffic":
+                order = reference.stream_order()
+                assert contract.stream_order == order
+                contract.record_traffic(owner, args[0][: len(order)])
+                reference.record_traffic(args[0][: len(order)])
+            elif op == "breach":
+                address = SETTLEMENT_SCPS[args[0]]
+                record = contract.registry.get(address)
+                if record is not None and record.active:
+                    qcis = sorted(record.terms.agreed_throughput)
+                    qci = qcis[args[1] % len(qcis)]
+                    contract.throughput_breach(owner, address, qci, args[2])
+                    reference.breach(address, qci, args[2])
+            elif op == "register":
+                address, terms = SETTLEMENT_SCPS[args[0]], SETTLEMENT_TERMS[args[1]]
+                record = contract.registry.get(address)
+                if record is not None and record.active:
+                    with pytest.raises(AlreadyRegistered):
+                        contract.register_scp(owner, address, terms)
+                else:
+                    contract.register_scp(owner, address, terms)
+                    reference.register(address, terms)
+            else:
+                contract.close_period(owner)
+                reference.close()
+            assert list(contract.registry) == sorted(reference.registry)
+            pairs = [(contract.registry[address], expected)
+                     for address, expected in sorted(reference.registry.items())]
+            assert len(contract.archived) == len(reference.archived)
+            pairs += zip(contract.archived, reference.archived)
+            for record, expected in pairs:
+                assert record.served == expected.served
+                assert record.credit == expected.credit
+                assert record.canonical_state() == expected.canonical_state()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slasim import EventKind, Ledger
+from slasim import EventKind, EventRecord, Ledger
 from slasim.errors import DuplicateAddress, InsufficientFunds, UnknownAddress
 from slasim.ledger import _FOLD_BATCH
 
@@ -187,7 +187,7 @@ class TestRollingEventDigest:
         "change",
         [
             {"index": 9},
-            {"period": 9},
+            {"period": 1},
             {"kind": EventKind.WITHDRAWAL},
             {"subject": "b"},
             {"qci": 2},
@@ -196,13 +196,28 @@ class TestRollingEventDigest:
         ids=["index", "period", "kind", "subject", "qci", "payload-value"],
     )
     def test_each_event_field_is_covered(self, change):
-        def digest(**fields):
-            ledger = Ledger()
-            ledger.append_event(EventKind.DEPOSIT, "a", qci=1, payload=(("amount", 7),))
-            ledger._events[0] = ledger._events[0]._replace(**fields)  # the unfolded tail
-            return ledger.state_digest()
+        """Two ledgers whose one event differs in one field fold different digests."""
 
-        assert digest(**change) != digest()
+        def folded(index=0, period=0, kind=EventKind.DEPOSIT, subject="a", qci=1,
+                   payload=(("amount", 7),)):
+            heard = []
+            ledger = Ledger(events=heard.append)
+            ledger.append_event(EventKind.SCP_REGISTERED, "a")  # so the event's index is 1
+            if period:
+                ledger.advance_period()
+            ledger.append_event(kind, subject, qci=qci, payload=payload)
+            if not period:
+                ledger.advance_period()  # either way the clock ends in period 1
+            if index:
+                # an index is the count of the events before it, which no call
+                # sets alone: the ledger folds the documented rows, which then
+                # stand in for those with the index changed
+                assert [event.index for event in heard] == [0, 1]
+                assert ledger.canonical_state()["events"] == documented_events_state(heard)
+                return documented_events_state([heard[0], heard[1]._replace(index=index)])
+            return ledger.canonical_state()["events"]
+
+        assert folded(**change) != folded()
 
     def test_canonical_state_holds_count_and_documented_sha256(self, ledger, events):
         event_history(ledger)
@@ -255,6 +270,42 @@ def assert_keeps_only_the_unfolded_tail(ledger):
     assert len(ledger._events) == 1
     ledger.state_digest()
     assert ledger._events == []
+
+
+class TestAppendEvents:
+    @pytest.mark.parametrize("before", [0, 200, 255])
+    @pytest.mark.parametrize("size", [0, 1, 56, 300, 600])
+    def test_batch_equals_one_append_event_per_item(self, before, size):
+        """Same indices, sink records and digest, and fewer than ``_FOLD_BATCH``
+        events held after every call, also for batches that cross a fold."""
+        items = [(f"scp-{i % 7}", i % 3 or None, (("payout", i), ("period", 1)))
+                 for i in range(size)]
+        heard = {"batched": [], "single": []}
+        ledgers = {name: Ledger(events=sink.append) for name, sink in heard.items()}
+        indices = {}
+        for name, ledger in ledgers.items():
+            for amount in range(before):
+                ledger.append_event(EventKind.DEPOSIT, "a", payload=(("amount", amount),))
+                assert len(ledger._events) < _FOLD_BATCH
+            ledger.advance_period()
+            if name == "batched":
+                indices[name] = ledger.append_events(EventKind.PERIODIC_PAYOUT, items)
+                assert len(ledger._events) < _FOLD_BATCH
+            else:
+                indices[name] = []
+                for subject, qci, payload in items:
+                    indices[name].append(
+                        ledger.append_event(EventKind.PERIODIC_PAYOUT, subject, qci, payload)
+                    )
+                    assert len(ledger._events) < _FOLD_BATCH
+        assert indices["batched"] == before == ledgers["batched"].num_events - size
+        assert indices["single"] == list(range(before, before + size))
+        assert heard["batched"] == heard["single"]
+        assert all(type(event) is EventRecord for event in heard["batched"])
+        batched, single = ledgers["batched"], ledgers["single"]
+        assert batched.canonical_state() == single.canonical_state()
+        assert batched.canonical_state()["events"] == documented_events_state(heard["batched"])
+        assert batched.state_digest() == single.state_digest()
 
 
 class TestEventSink:
