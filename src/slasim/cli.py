@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .config import ScenarioConfig, load_config
 from .contract import SlaContract
 from .errors import ContractError, DigestMismatch, InvalidConfig, MalformedLog
-from .ledger import EventSink, Ledger, TxlogSpool
+from .ledger import EventSink, Ledger
 from .report import RowFold
 from .replay import replay_file
 from .traffic import drive
@@ -45,11 +46,12 @@ def _diag(message: str) -> None:
 
 
 def setup_run(
-    config: ScenarioConfig, txlog: Optional[TxlogSpool] = None, events: Optional[EventSink] = None
+    config: ScenarioConfig, txlog: Optional[TextIO] = None, events: Optional[EventSink] = None
 ):
     """Fresh ledger + funded contract with every scenario SCP registered.
 
-    The ledger logs to ``txlog`` and hands its events to the sink ``events``, if given.
+    The ledger writes its log to the text file ``txlog`` and hands its events
+    to the sink ``events``, if given.
     """
     ledger = Ledger(txlog, events)
     owner = ledger.create_account(config.escrow_deposit, "mno")
@@ -73,11 +75,12 @@ def cmd_run(config_path: str, out_dir: str, seed: Optional[int] = None) -> int:
     except OSError as exc:
         _diag(f"cannot create output directory: {exc}")
         return EXIT_ABORT
-    # the log is spooled to disk as it is logged, so a full disk can stop the
-    # run at any step, not only when the outputs are written
+    # the log goes to an unnamed temporary file as it is logged, so nothing is
+    # left behind however the run ends, and a full disk can stop the run at
+    # any step, not only when the outputs are written
     fold = RowFold()
     try:
-        with TxlogSpool(out) as txlog:
+        with tempfile.TemporaryFile("w+", encoding="utf-8", dir=out) as txlog:
             ledger, contract = setup_run(config, txlog, fold.add)
             report = drive(ledger, contract, config, fold)
             report.write_json(out / REPORT_JSON)

@@ -7,13 +7,15 @@ events into its digest and drops it, as an Ethereum node commits to logs by
 hash and need not keep them; a caller that wants the records passes a sink.
 
 The transactions are ``create_account`` and the contract's operations.  Each
-one appends a single entry to the transaction log through ``Ledger._log``:
-its name as ``op`` plus its keyword arguments, so replay calls the same method
-with the same arguments.  The primitives a transaction calls (``transfer``,
-``append_event``, ``advance_period``) are not logged, just as calls made
-inside a smart-contract transaction are not.  An exported log replays
-byte-for-byte, and the canonical state digest makes replay determinism
-checkable as plain string equality.
+one is logged once, through ``Ledger._log``, as a single entry: its name as
+``op`` plus its keyword arguments, so replay calls the same method with the
+same arguments.  The ledger counts every entry and writes each, as one JSON
+line, to the text file its caller passes; given none, it keeps no log, as a
+node that only re-executes a log to check it need not.  The primitives a
+transaction calls (``transfer``, ``append_event``, ``advance_period``) are
+not logged, just as calls made inside a smart-contract transaction are not.
+An exported log replays byte-for-byte, and the canonical state digest makes
+replay determinism checkable as plain string equality.
 
 Not thread-safe; one ledger instance belongs to one scenario run.
 """
@@ -23,9 +25,8 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-import tempfile
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, TextIO, Tuple
 
 from .errors import DuplicateAddress, InsufficientFunds, UnknownAddress
 from .fileio import atomic_write
@@ -79,42 +80,6 @@ EventSink = Callable[[EventRecord], None]  # handed each event as it is appended
 EventItem = Tuple[str, Optional[int], Tuple[Tuple[str, int], ...]]
 
 
-class TxlogSpool:
-    """A transaction log that goes to disk as it is logged.
-
-    ``append`` encodes each entry as the JSON line ``export_txlog`` would
-    write and adds it to an unnamed temporary file in ``directory``, so a run
-    holds neither the entries nor the objects they refer to.  The file has no
-    name, so nothing is left behind however the run ends; ``close`` (or
-    leaving the ``with`` block) frees it.
-    """
-
-    def __init__(self, directory) -> None:
-        self._file = tempfile.TemporaryFile("w+", encoding="utf-8", dir=directory)
-        self._entries = 0
-
-    def append(self, entry: dict) -> None:
-        self._file.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._entries += 1
-
-    def __len__(self) -> int:
-        return self._entries
-
-    def copy_to(self, fh) -> None:
-        """Write every line appended so far to the text file ``fh``."""
-        self._file.seek(0)
-        shutil.copyfileobj(self._file, fh)
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "TxlogSpool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 def _check_amount(amount: int) -> None:
     if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
         raise ValueError(f"amounts are non-negative integers, got {amount!r}")
@@ -123,21 +88,22 @@ def _check_amount(amount: int) -> None:
 class Ledger:
     """Accounts, events and the period clock for one simulation run.
 
-    ``txlog`` receives every logged entry: a list by default, or a
-    ``TxlogSpool`` that writes the entries to disk as they are logged.
+    ``txlog``, if given, is a text file that each logged entry is written to
+    as one JSON line; without it the ledger counts its entries but keeps none.
     ``events``, if given, is a sink handed each event as it is appended; the
     ledger keeps only the rows its digest has not folded (< ``_FOLD_BATCH``).
     """
 
     def __init__(
-        self, txlog: Union[List[dict], TxlogSpool, None] = None, events: Optional[EventSink] = None
+        self, txlog: Optional[TextIO] = None, events: Optional[EventSink] = None
     ) -> None:
         self.balances: Dict[str, int] = {}
         self.num_events = 0
         self._events: List[tuple] = []  # the rows the digest has not folded
         self._sink = events
         self.current_period: int = 0
-        self.txlog = [] if txlog is None else txlog
+        self.txlog = txlog
+        self.num_entries = 0  # transactions logged, with or without a file
         # contracts attach themselves so the digest covers their state too
         self.contracts: Dict[str, object] = {}
         self._anon_counter = 0
@@ -228,8 +194,14 @@ class Ledger:
     # --- transaction log and digest ----------------------------------------
 
     def _log(self, op: str, **fields: object) -> None:
-        """Record one transaction: its method name and its keyword arguments."""
-        self.txlog.append({"op": op, **fields})
+        """Record one transaction: its method name and its keyword arguments.
+
+        The entry is encoded here, once, as the JSON line ``export_txlog``
+        copies behind its header.
+        """
+        self.num_entries += 1
+        if self.txlog is not None:
+            self.txlog.write(json.dumps({"op": op, **fields}, sort_keys=True) + "\n")
 
     def attach_contract(self, contract) -> None:
         if contract.id in self.contracts:
@@ -276,8 +248,9 @@ class Ledger:
         """Write the tx log as JSON lines; header carries the final digest.
 
         ``digest`` lets callers reuse an already computed digest of the
-        current state instead of recomputing it.  A spooled log's entries are
-        already encoded, so they are copied behind the header as they are.
+        current state instead of recomputing it.  The entries are already
+        encoded in the ``txlog`` file, so they are copied behind the header as
+        they are; the ledger must have been given one.
         """
         if digest is None:
             digest = self.state_digest()
@@ -285,14 +258,10 @@ class Ledger:
             "format": TXLOG_FORMAT,
             "version": TXLOG_VERSION,
             "digest": digest,
-            "entries": len(self.txlog),
+            "entries": self.num_entries,
         }
         with atomic_write(path) as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
-            if isinstance(self.txlog, TxlogSpool):
-                self.txlog.copy_to(fh)
-            else:
-                fh.writelines(
-                    json.dumps(entry, sort_keys=True) + "\n" for entry in self.txlog
-                )
+            self.txlog.seek(0)
+            shutil.copyfileobj(self.txlog, fh)
         return digest

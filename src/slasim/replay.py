@@ -5,7 +5,9 @@ followed by one JSON object per transaction, in execution order.  Each entry is
 ``{"op": <method name>, **<its keyword arguments>}``; contract operations also
 name their contract.  Replay calls that method with those arguments, so
 replaying an unmodified log reproduces the exact final state, and the digest
-check is byte equality.
+check is byte equality.  The replaying ledger is given no log file, so it
+keeps no log: each replayed entry is one logged operation, and its count is
+checked against the header's.
 """
 
 from __future__ import annotations
@@ -87,17 +89,18 @@ def replay_entries(entries: Iterable[dict]) -> Ledger:
     """Apply logged transactions, in order, to a fresh ledger.
 
     ``create_contract`` constructs a contract; every other entry calls the
-    method it names with its remaining fields as keyword arguments.  Each op
-    logs itself again; that copy is dropped as soon as the op returns.  The
-    returned ledger holds the rebuilt state, an empty ``txlog`` and, as every
-    ledger does, fewer than 256 events.
+    method it names with its remaining fields as keyword arguments.  The
+    entries are consumed: ``op`` and ``contract`` are popped from each, and
+    ``terms`` is replaced by the terms it decodes to.  The returned ledger
+    holds the rebuilt state and, as every ledger does, fewer than 256 events;
+    it was given no log file, so it counts its entries in ``num_entries`` but
+    keeps none.
     """
     ledger = Ledger()
     contracts: Dict[str, SlaContract] = {}
-    for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "op" not in entry:
+    for pos, fields in enumerate(entries):
+        if not isinstance(fields, dict) or "op" not in fields:
             raise MalformedLog(f"entry {pos}: not an operation object")
-        fields = dict(entry)
         op = fields.pop("op")
         try:
             if op == "create_contract":
@@ -122,36 +125,28 @@ def replay_entries(entries: Iterable[dict]) -> Ledger:
             raise MalformedLog(f"entry {pos} ({op}): bad fields: {exc}") from exc
         except SimError as exc:
             raise MalformedLog(f"entry {pos} ({op}): rejected on replay: {exc}") from exc
-        finally:
-            ledger.txlog.clear()  # the entry the op logged again
     return ledger
 
 
 def replay_file(path) -> Tuple[str, str]:
     """Replay a log file; returns (recomputed digest, digest from header).
 
-    Entries are replayed as they are read and counted as they pass, so
-    neither they nor their re-logged copies are held.  Raises DigestMismatch
-    when the two digests differ, then MalformedLog when the header's entry
-    count differs from the entries replayed.
+    Entries are replayed as they are read, so none is held.  Each replayed
+    entry is one logged operation, so the ledger's ``num_entries`` is the
+    number replayed.  Raises DigestMismatch when the two digests differ, then
+    MalformedLog when the header's entry count differs from the entries
+    replayed.
     """
     header, entries = load_txlog(path)
-    replayed = 0
-
-    def counted() -> Iterator[dict]:
-        nonlocal replayed
-        for entry in entries:
-            replayed += 1
-            yield entry
-
     with closing(entries):  # closes the file if replay stops partway
         expected = header.get("digest")
         if not isinstance(expected, str):
             raise MalformedLog("header is missing its digest")
-        ledger = replay_entries(counted())
+        ledger = replay_entries(entries)
     digest = ledger.state_digest()
     if digest != expected:
         raise DigestMismatch(f"replay digest {digest} != recorded {expected}")
+    replayed = ledger.num_entries
     if type(header.get("entries")) is not int or header["entries"] != replayed:
         raise MalformedLog(
             f"header counts {header.get('entries')!r} entries, the log holds {replayed}"

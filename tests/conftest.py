@@ -1,3 +1,6 @@
+import io
+import json
+
 import pytest
 
 from slasim import FLAT_RATE, PER_TRAFFIC, Ledger, SlaContract, SlaTerms
@@ -41,10 +44,13 @@ class RecordingFold(RowFold):
         super().add(event)
 
 
-def folded_run(config):
-    """``setup_run`` with a ``RecordingFold`` as the event sink: (ledger, contract, fold)."""
+def folded_run(config, txlog=None):
+    """``setup_run`` with a ``RecordingFold`` as the event sink: (ledger, contract, fold).
+
+    The ledger writes its log to ``txlog``, if given.
+    """
     fold = RecordingFold()
-    ledger, contract = setup_run(config, events=fold.add)
+    ledger, contract = setup_run(config, txlog, fold.add)
     return ledger, contract, fold
 
 
@@ -56,6 +62,16 @@ def fold_of(events):
     return fold
 
 
+def entries_of(ledger):
+    """The entries ``ledger`` has written to its in-memory log, freshly decoded."""
+    return [json.loads(line) for line in ledger.txlog.getvalue().splitlines()]
+
+
+def log_state(ledger):
+    """What a rejected operation leaves unchanged: the entry count and the log's text."""
+    return ledger.num_entries, ledger.txlog.getvalue()
+
+
 @pytest.fixture
 def events():
     """Every event of the ``ledger`` fixture, in index order: the list is its sink."""
@@ -64,7 +80,8 @@ def events():
 
 @pytest.fixture
 def ledger(events):
-    return Ledger(events=events.append)
+    """A ledger that logs to an in-memory text file and hands its events to ``events``."""
+    return Ledger(io.StringIO(), events.append)
 
 
 @pytest.fixture

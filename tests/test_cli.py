@@ -90,7 +90,7 @@ def test_underfunded_scenario_aborts(tmp_path, capsys):
     path.write_text(json.dumps(broke))
     assert run_cli("run", "--config", path, "--out", tmp_path / "out") == EXIT_ABORT
     assert "escrow" in capsys.readouterr().err
-    # the spooled log has no name, so the aborted run leaves nothing behind
+    # the temporary log has no name, so the aborted run leaves nothing behind
     assert list((tmp_path / "out").iterdir()) == []
 
 
@@ -215,7 +215,7 @@ def test_failed_write_keeps_existing_output(config_file, tmp_path, monkeypatch, 
     module, name, encoder = {
         REPORT_JSON: (report, "_write_timeline", _timeline_failing),
         REPORT_CSV: (report, "csv", SimpleNamespace(writer=_csv_writer_failing_partway)),
-        # the log is spooled as it is logged: setup_run logs five entries and
+        # each entry is written as it is logged: setup_run logs five entries and
         # the sixth, the first period's traffic, fails inside drive
         TXLOG_FILE: (ledger, "json", SimpleNamespace(dumps=_json_dumps_failing_after(5))),
     }[target]
@@ -234,9 +234,9 @@ def test_failed_txlog_copy_keeps_existing_output(config_file, tmp_path, monkeypa
     out = tmp_path / "out"
     assert run_cli("run", "--config", config_file, "--out", out) == EXIT_OK
     before = {path.name: path.read_bytes() for path in out.iterdir()}
-    # the spooled entries are copied behind the header; the disk fills up partway
+    # the logged entries are copied behind the header; the disk fills up partway
     monkeypatch.setattr(ledger, "shutil", SimpleNamespace(copyfileobj=_copy_failing_partway))
     assert run_cli("run", "--config", config_file, "--out", out) == EXIT_ABORT
     assert "cannot write outputs" in capsys.readouterr().err
-    # byte-identical, and neither the temporary txlog nor the spool is left
+    # byte-identical, and neither the half-written txlog.jsonl nor the unnamed log is left
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before

@@ -1,12 +1,13 @@
 """SLA contract state machine: registration, payouts, penalties, fail-safe."""
 
+import io
 import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fold_of, make_flat_terms, make_terms
+from conftest import entries_of, fold_of, log_state, make_flat_terms, make_terms
 from slasim import FLAT_RATE, EventKind, Ledger, SlaContract, SlaTerms
 from slasim.config import to_json
 from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_replay
@@ -79,11 +80,11 @@ class TestRegistration:
     def test_terms_built_in_python_are_checked(self, world, terms, named):
         ledger, contract, owner, _ = world
         other = ledger.create_account(0, "other")
-        state, logged = ledger.canonical_state(), len(ledger.txlog)
+        state, logged = ledger.canonical_state(), log_state(ledger)
         with pytest.raises(ValueError, match=rf"^{named}[.:]"):
             contract.register_scp(owner, other, make_terms(**terms))
         assert ledger.canonical_state() == state
-        assert len(ledger.txlog) == logged
+        assert log_state(ledger) == logged
 
     def test_terms_changed_after_registration_change_nothing(self, ledger):
         """The contract keeps its own copy of the terms: settlement follows the logged ones."""
@@ -97,7 +98,7 @@ class TestRegistration:
         contract.record_traffic(owner, [100, 100])
         contract.close_period(owner)
         assert contract.registry[scp].credit == 1 * 100 + 2 * 100
-        assert replay_entries(ledger.txlog).state_digest() == ledger.state_digest()
+        assert replay_entries(entries_of(ledger)).state_digest() == ledger.state_digest()
 
 
 class TestDeposit:
@@ -189,11 +190,11 @@ class TestRecordTrafficBatch:
     def test_one_bad_sample_changes_nothing(self, two_scps, bad, error):
         ledger, contract, owner, _ = two_scps
         served_before = {addr: dict(rec.served) for addr, rec in contract.registry.items()}
-        logged_before = len(ledger.txlog)
+        logged_before = log_state(ledger)
         with pytest.raises(error):
             contract.record_traffic(owner, bad)
         assert {addr: rec.served for addr, rec in contract.registry.items()} == served_before
-        assert len(ledger.txlog) == logged_before
+        assert log_state(ledger) == logged_before
 
     def test_owner_only_and_not_after_failsafe(self, world):
         _, contract, owner, scp = world
@@ -238,7 +239,9 @@ class TestRecordTrafficBatch:
         contract.record_traffic(owner, kb)
         kb[0] = 999
         kb.append(1)
-        assert ledger.txlog[-1]["kb"] == (100, 0)
+        assert ledger.txlog.getvalue().splitlines()[-1] == (
+            '{"caller": "mno", "contract": "sla-0", "kb": [100, 0], "op": "record_traffic"}'
+        )
 
 
 def stream_world(stage):
@@ -247,7 +250,7 @@ def stream_world(stage):
     ``stage`` is ``fresh``, ``a-removed`` (scp-a struck out at its first
     breach) or ``a-reregistered`` (scp-a back under QCIs 7 and 2).
     """
-    ledger = Ledger()
+    ledger = Ledger(io.StringIO())
     owner = ledger.create_account(100_000, "mno")
     contract = SlaContract(ledger, owner)
     b = ledger.create_account(0, "scp-b")
@@ -285,7 +288,7 @@ class TestStreamOrder:
             for qci, kb in record.served.items()
         }
         assert served == {stream: i for i, stream in enumerate(order, start=1)}
-        assert ledger.txlog[-1]["kb"] == tuple(range(1, len(order) + 1))
+        assert entries_of(ledger)[-1]["kb"] == list(range(1, len(order) + 1))
 
     @pytest.mark.parametrize("stage", STAGES)
     @pytest.mark.parametrize(
@@ -300,11 +303,11 @@ class TestStreamOrder:
             kb.append(10)
         else:
             kb[-1] = {"bool": True, "float": 10.0, "negative": -1}[bad]
-        state, logged = contract.canonical_state(), len(ledger.txlog)
+        state, logged = contract.canonical_state(), log_state(ledger)
         with pytest.raises(ValueError):
             contract.record_traffic(owner, kb)
         assert contract.canonical_state() == state
-        assert len(ledger.txlog) == logged
+        assert log_state(ledger) == logged
 
     def test_tampered_kb_fails_replay(self, tmp_path):
         ledger, contract, owner = stream_world("a-reregistered")
@@ -420,7 +423,7 @@ class TestClosePeriod:
             contract.canonical_state(),
             ledger.current_period,
             list(events),
-            list(ledger.txlog),
+            log_state(ledger),
         )
         with pytest.raises(InsufficientEscrowForAccrual, match=f"credits {owed} "):
             contract.close_period(owner)
@@ -428,7 +431,7 @@ class TestClosePeriod:
             contract.canonical_state(),
             ledger.current_period,
             list(events),
-            list(ledger.txlog),
+            log_state(ledger),
         )
         assert after == before
         contract.deposit(owner, 1)
@@ -472,11 +475,11 @@ class TestThroughputBreach:
     def test_non_integer_breach_rejected(self, world, qci, deficit):
         ledger, contract, owner, scp = world
         before = ledger.canonical_state()
-        logged = len(ledger.txlog)
+        logged = log_state(ledger)
         with pytest.raises(ValueError, match="must be integers"):
             contract.throughput_breach(owner, scp, qci, deficit)
         assert ledger.canonical_state() == before
-        assert len(ledger.txlog) == logged
+        assert log_state(ledger) == logged
 
     def test_one_strike_per_period(self, world):
         _, contract, owner, scp = world

@@ -2,12 +2,13 @@
 
 import gc
 import hashlib
+import io
 import json
 import warnings
 
 import pytest
 
-from conftest import folded_run, make_flat_terms, make_terms
+from conftest import entries_of, folded_run, make_flat_terms, make_terms
 from test_config import NON_CANONICAL_QCI_KEYS, NON_INTEGER_TERMS, valid_dict
 from test_ledger import documented_events_state
 from slasim import Ledger, SlaContract, replay
@@ -20,7 +21,7 @@ from slasim.traffic import drive
 
 
 def busy_world():
-    ledger = Ledger()
+    ledger = Ledger(io.StringIO())
     owner = ledger.create_account(100_000, "mno")
     contract = SlaContract(ledger, owner)
     scp = ledger.create_account(0, "scp-1")
@@ -37,7 +38,7 @@ def busy_world():
 
 def test_empty_log_replays_to_fresh_digest(tmp_path):
     path = tmp_path / "empty.jsonl"
-    Ledger().export_txlog(path)
+    Ledger(io.StringIO()).export_txlog(path)
     digest, expected = replay_file(path)
     assert digest == expected == Ledger().state_digest()
 
@@ -77,7 +78,7 @@ def test_tampered_amount_is_detected(tmp_path):
 
 def every_op_world(ledger=None):
     """A ledger whose log holds every logged operation, a re-registration included."""
-    ledger = Ledger() if ledger is None else ledger
+    ledger = Ledger(io.StringIO()) if ledger is None else ledger
     owner = ledger.create_account(100_000, "mno")
     contract = SlaContract(ledger, owner)
     scp = ledger.create_account()  # no label: the ledger names it
@@ -105,7 +106,7 @@ def every_op_world(ledger=None):
 def test_every_logged_op_round_trips(tmp_path):
     ledger = every_op_world()
     # every op replay dispatches is logged, and every logged op is dispatched
-    logged = {entry["op"] for entry in ledger.txlog}
+    logged = {entry["op"] for entry in entries_of(ledger)}
     assert logged == replay.CONTRACT_OPS | {"create_contract", "create_account"}
     assert ledger.contracts["sla-0"].archived
     path = tmp_path / "log.jsonl"
@@ -118,17 +119,18 @@ def test_replay_keeps_no_log(tmp_path):
     ledger = every_op_world()
     path = tmp_path / "log.jsonl"
     ledger.export_txlog(path)
-    _, entries = load_txlog(path)
+    header, entries = load_txlog(path)
     replayed = replay_entries(entries)
-    assert replayed.txlog == []
+    assert replayed.txlog is None
+    assert replayed.num_entries == header["entries"] == ledger.num_entries
     assert replayed.canonical_state() == ledger.canonical_state()
 
 
 def test_sink_ledger_equals_list_ledger_on_every_op():
     """A sink only hears the events: the ledger's log, state and digest are the same."""
     heard = []
-    streamed, sinkless = every_op_world(Ledger(events=heard.append)), every_op_world()
-    assert streamed.txlog == sinkless.txlog
+    streamed, sinkless = every_op_world(Ledger(io.StringIO(), heard.append)), every_op_world()
+    assert streamed.txlog.getvalue() == sinkless.txlog.getvalue() != ""
     assert streamed.canonical_state() == sinkless.canonical_state()
     assert streamed.state_digest() == sinkless.state_digest()
     assert sinkless.canonical_state()["events"] == documented_events_state(heard)
@@ -151,10 +153,10 @@ def test_wire_format_is_pinned(tmp_path):
     assert sha256_of(tmp_path / "every_op.jsonl") == "b6ad6281ed1a0d3f8d99e613fe145a6dbaa7a55dd15bd99d420d182d31abe531"
 
 
-def test_spooled_log_equals_listed_log(tmp_path):
-    """``run`` spools its log to disk; a list-backed ledger exports the same bytes."""
+def test_run_log_equals_in_memory_log(tmp_path):
+    """``run`` logs to a temporary file; a ledger logging to memory exports the same bytes."""
     data = valid_dict()
-    # no breach for 600 periods, so the spool outgrows one copy chunk
+    # no breach for 600 periods, so the log outgrows one copy chunk
     data["num_periods"] = 600
     data["escrow_deposit"] = 10**7
     data["scps"][0]["terms"]["agreed_throughput"] = {"1": 0}
@@ -170,18 +172,17 @@ def test_spooled_log_equals_listed_log(tmp_path):
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     config = config_from_dict(data)
-    ledger, contract, fold = folded_run(config)
-    assert isinstance(ledger.txlog, list)
+    ledger, contract, fold = folded_run(config, io.StringIO())
     report = drive(ledger, contract, config, fold)
-    ledger.export_txlog(tmp_path / "listed.jsonl", digest=report.digest)
-    spooled = (tmp_path / "full" / "txlog.jsonl").read_bytes()
-    assert len(spooled) > 2**16
-    assert spooled == (tmp_path / "listed.jsonl").read_bytes()
+    ledger.export_txlog(tmp_path / "in_memory.jsonl", digest=report.digest)
+    run_log = (tmp_path / "full" / "txlog.jsonl").read_bytes()
+    assert len(run_log) > 2**16
+    assert run_log == (tmp_path / "in_memory.jsonl").read_bytes()
 
 
-def test_streamed_run_equals_listed_run(tmp_path):
-    """``run`` spools its log and folds its events as they pass; an in-memory run
-    reports the same."""
+def test_streamed_run_equals_in_memory_run(tmp_path):
+    """``run`` logs to a temporary file and folds its events as they pass; a run
+    logging to memory reports the same."""
     data = valid_dict()
     data["num_periods"] = 700
     data["escrow_deposit"] = 10**8
@@ -194,17 +195,17 @@ def test_streamed_run_equals_listed_run(tmp_path):
     path.write_text(json.dumps(data))
     assert cmd_run(str(path), str(tmp_path / "streamed")) == EXIT_OK
     config = config_from_dict(data)
-    ledger, contract, fold = folded_run(config)
+    ledger, contract, fold = folded_run(config, io.StringIO())
     report = drive(ledger, contract, config, fold)
     assert report.rows["scp-1"].removal_period is not None
     assert report.num_events > 4 * _FOLD_BATCH
-    listed = tmp_path / "listed"
-    listed.mkdir()
-    report.write_json(listed / "report.json")
-    report.write_csv(listed / "report.csv")
-    ledger.export_txlog(listed / "txlog.jsonl", digest=report.digest)
+    in_memory = tmp_path / "in_memory"
+    in_memory.mkdir()
+    report.write_json(in_memory / "report.json")
+    report.write_csv(in_memory / "report.csv")
+    ledger.export_txlog(in_memory / "txlog.jsonl", digest=report.digest)
     for name in ("report.json", "report.csv", "txlog.jsonl"):
-        assert (tmp_path / "streamed" / name).read_bytes() == (listed / name).read_bytes()
+        assert (tmp_path / "streamed" / name).read_bytes() == (in_memory / name).read_bytes()
     # replay keeps no more than the rows its digest has not folded, and
     # builds no EventRecord, since it passes no sink
     del ledger, contract, report
@@ -222,7 +223,7 @@ def test_streamed_run_equals_listed_run(tmp_path):
 def driven_log(tmp_path):
     """Export the log of a drive run: scp-1 is removed in period 3 of 5."""
     config = config_from_dict(valid_dict())
-    ledger, contract, fold = folded_run(config)
+    ledger, contract, fold = folded_run(config, io.StringIO())
     report = drive(ledger, contract, config, fold)
     path = tmp_path / "driven.jsonl"
     ledger.export_txlog(path)
@@ -261,7 +262,7 @@ def test_tampered_batch_kb_is_detected(tmp_path):
     ids=["unknown-qci", "removed-scp", "negative-kb"],
 )
 def test_bad_batch_sample_rejected_on_replay(tmp_path, bad):
-    ledger = Ledger()
+    ledger = Ledger(io.StringIO())
     owner = ledger.create_account(100_000, "mno")
     contract = SlaContract(ledger, owner)
     for label in ("scp-1", "scp-2"):
@@ -337,6 +338,11 @@ def test_missing_header_rejected(tmp_path):
         replay_file(path)
 
 
+def decoded(entries):
+    """Fresh copies of ``entries``, as a log file's lines decode to: replay consumes them."""
+    return [json.loads(json.dumps(entry)) for entry in entries]
+
+
 @pytest.mark.parametrize(
     "entry",
     [
@@ -350,7 +356,7 @@ def test_missing_header_rejected(tmp_path):
 )
 def test_unknown_op_rejected(entry):
     with pytest.raises(MalformedLog, match="unknown operation"):
-        replay_entries([entry])
+        replay_entries(decoded([entry]))
 
 
 WORLD = [
@@ -387,7 +393,7 @@ WORLD = [
 )
 def test_invalid_fields_rejected(entry):
     with pytest.raises(MalformedLog, match=rf"entry 2 \({entry['op']}\): bad fields"):
-        replay_entries(WORLD + [entry])
+        replay_entries(decoded(WORLD + [entry]))
 
 
 @pytest.mark.parametrize(
@@ -399,7 +405,7 @@ def test_non_integer_term_rejected(name, value):
     entry = {"op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "mno",
              "terms": terms}
     with pytest.raises(MalformedLog, match=rf"entry 2 \(register_scp\): bad fields: .*{name}"):
-        replay_entries(WORLD + [entry])
+        replay_entries(decoded(WORLD + [entry]))
 
 
 def test_unknown_term_rejected():
@@ -408,7 +414,7 @@ def test_unknown_term_rejected():
     entry = {"op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "mno",
              "terms": terms}
     with pytest.raises(MalformedLog, match=r"bad fields: strike_limt: unknown field"):
-        replay_entries(WORLD + [entry])
+        replay_entries(decoded(WORLD + [entry]))
 
 
 SCP_WORLD = WORLD + [
@@ -431,7 +437,7 @@ SCP_WORLD = WORLD + [
 def test_non_integer_traffic_rejected(entry):
     entry = {"contract": "sla-0", "caller": "mno", **entry}
     with pytest.raises(MalformedLog, match=rf"entry 4 \({entry['op']}\): bad fields: .*integers"):
-        replay_entries(SCP_WORLD + [entry])
+        replay_entries(decoded(SCP_WORLD + [entry]))
 
 
 @pytest.mark.parametrize("line", [0, 1], ids=["header", "entry"])
@@ -446,15 +452,21 @@ def test_non_utf8_log_rejected(tmp_path, line):
 
 
 def one_entry_world():
-    ledger = Ledger()
+    ledger = Ledger(io.StringIO())
     ledger.create_account(5, "a")
     return ledger
 
 
 @pytest.mark.parametrize(
     "world, count",
-    [(busy_world, 999), (busy_world, "missing"), (busy_world, float), (one_entry_world, True)],
-    ids=["999", "missing", "float", "true"],
+    [
+        (busy_world, 999),
+        (busy_world, "one-less"),
+        (busy_world, "missing"),
+        (busy_world, float),
+        (one_entry_world, True),
+    ],
+    ids=["999", "one-less", "missing", "float", "true"],
 )
 def test_header_entry_count_is_checked(tmp_path, world, count):
     path = tmp_path / "log.jsonl"
@@ -463,6 +475,8 @@ def test_header_entry_count_is_checked(tmp_path, world, count):
     header = json.loads(lines[0])
     if count == "missing":
         del header["entries"]
+    elif count == "one-less":  # the true count minus one
+        header["entries"] -= 1
     elif count is float:  # the right count, as a float
         header["entries"] = float(header["entries"])
     else:

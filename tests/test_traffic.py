@@ -1,10 +1,12 @@
 """Monitoring simulator: trace generation, breach detection, scenario driving."""
 
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import folded_run, make_terms
+from conftest import entries_of, folded_run, make_terms
 from slasim import (
     DegradationWindow,
     EventKind,
@@ -337,11 +339,11 @@ class TestDrive:
                 )
             )
         trace = generate_trace(config)
-        ledger, contract, fold = folded_run(config)
+        ledger, contract, fold = folded_run(config, io.StringIO())
         report = drive(ledger, contract, config, fold, trace=trace)
         removed = report.rows["scp-1"].removal_period
         assert removed is not None and removed < 25
-        vectors = [entry["kb"] for entry in ledger.txlog if entry["op"] == "record_traffic"]
+        vectors = [entry["kb"] for entry in entries_of(ledger) if entry["op"] == "record_traffic"]
         assert len(vectors) == 30
         for period, kb in enumerate(vectors):
             expected = [
@@ -349,7 +351,7 @@ class TestDrive:
                 for (label, _), value in zip(trace.streams, trace.periods[period])
                 if label != "scp-1" or period <= removed
             ]
-            assert kb == tuple(expected)
+            assert kb == expected
         assert registry_matches_events(contract, fold) is None
 
     def test_run_twice_identical_reports(self):
