@@ -12,11 +12,15 @@ Settlement model, all in exact integers:
     each period close; flat-rate mode pays a fixed amount per period.
   * Payouts use the withdrawal pattern: the contract only accrues credit and
     the provider pulls funds itself.
-  * A throughput breach debits floor(num * deficit / den) from credit, which
-    may go negative (debt repaid by future payouts).
+  * A period's throughput breaches are reported by one op,
+    ``throughput_breach``, as ``(stream, deficit)`` pairs, where ``stream``
+    indexes the same stream order as ``record_traffic``'s values.  Each
+    breach debits floor(num * deficit / den) from credit, which may go
+    negative (debt repaid by future payouts).
   * At most one strike per accounting period; a period with no breach resets
     the counter at close; reaching the strike limit deactivates the provider
-    in the same call.
+    in the same call; a provider removed by one pair of a call takes no
+    debit from its later pairs.
   * The owner can disable the contract (fail-safe) and recover the escrow
     that is not owed to providers.
 
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add, mul
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import FLAT_RATE, SlaTerms, to_json
 from .errors import (
@@ -122,14 +126,6 @@ class SlaContract:
         if self.disabled:
             raise ContractDisabled("contract has been disabled by its fail-safe")
 
-    def _active_record(self, scp: str) -> ScpRecord:
-        record = self.registry.get(scp)
-        if record is None:
-            raise UnknownScp(f"{scp!r} is not in the register")
-        if not record.active:
-            raise InactiveScp(f"{scp!r} has been removed from the register")
-        return record
-
     def _rebuild_streams(self) -> None:
         spans = []
         end = 0
@@ -183,6 +179,23 @@ class SlaContract:
         """The ``(scp, qci)`` stream that each ``record_traffic`` value is for."""
         return [(record.address, qci) for record, _, _ in self._spans for qci in record.qcis]
 
+    @property
+    def num_streams(self) -> int:
+        """The length of ``stream_order``."""
+        return self._spans[-1][2] if self._spans else 0
+
+    def stream_of(self, scp: str, qci: int) -> int:
+        """The index of ``scp``'s ``qci`` stream in ``stream_order``."""
+        record = self.registry.get(scp)
+        if record is None:
+            raise UnknownScp(f"{scp!r} is not in the register")
+        if not record.active:
+            raise InactiveScp(f"{scp!r} has been removed from the register")
+        if type(qci) is not int or qci not in record.qcis:
+            raise UnknownQci(f"QCI {qci!r} is not part of {scp!r}'s agreement")
+        start = next(start for rec, start, _ in self._spans if rec is record)
+        return start + record.qcis.index(qci)
+
     def record_traffic(self, caller: str, kb: Iterable[int]) -> None:
         """Record one period's served kb, one value per stream of ``stream_order``.
 
@@ -194,8 +207,7 @@ class SlaContract:
         self._require_owner(caller)
         self._require_enabled()
         logged = tuple(kb)
-        spans = self._spans
-        width = spans[-1][2] if spans else 0
+        width = self.num_streams
         if len(logged) != width:
             raise ValueError(
                 f"expected {width} kb values, one per active stream, got {len(logged)}"
@@ -203,43 +215,78 @@ class SlaContract:
         if set(map(type, logged)) - {int} or min(logged, default=0) < 0:
             bad = next(value for value in logged if type(value) is not int or value < 0)
             raise ValueError(f"kb values must be integers >= 0, got {bad!r}")
-        for record, start, end in spans:
+        for record, start, end in self._spans:
             part = logged[start:end]
             record.kb = list(part) if record.kb is None else list(map(add, record.kb, part))
         self.ledger._log("record_traffic", contract=self.id, caller=caller, kb=logged)
 
-    def throughput_breach(self, caller: str, scp: str, qci: int, deficit: int) -> None:
+    def throughput_breach(self, caller: str, breaches: Iterable[Sequence[int]]) -> None:
+        """Report one period's breaches as ``(stream, deficit)`` pairs.
+
+        ``stream`` indexes ``stream_order`` as it stands when the call begins,
+        and the streams strictly ascend.  The whole batch is checked before
+        any record changes, so a bad call changes nothing.  Each pair then
+        debits its record and emits its event, in order; the record's first
+        breach of the period is a strike, and reaching the strike limit
+        removes it, after which its later pairs in the call take no debit.
+        """
         self._require_owner(caller)
         self._require_enabled()
-        record = self._active_record(scp)
-        if type(qci) is not int or type(deficit) is not int:
-            raise ValueError(f"qci and deficit must be integers, got {qci!r} and {deficit!r}")
-        if qci not in record.terms.agreed_throughput:
-            raise UnknownQci(f"QCI {qci} is not part of {scp!r}'s agreement")
-        if deficit < 1:
-            raise ZeroDeficit("a zero deficit is not a breach")
-        debit = record.terms.penalty_debit(deficit)
-        record.credit -= debit
-        self.ledger.append_event(
-            EventKind.INSUFFICIENT_THROUGHPUT,
-            scp,
-            qci=qci,
-            payload=(("deficit", deficit), ("debit", debit)),
-        )
-        if not record.breached_this_period:
-            record.breached_this_period = True
-            record.consecutive_strikes += 1
-            if record.consecutive_strikes >= record.terms.strike_limit:
-                record.active = False
-                self._rebuild_streams()
-                self.ledger.append_event(
-                    EventKind.SCP_REMOVED,
-                    scp,
-                    payload=(("strikes", record.consecutive_strikes),),
+        width = self.num_streams
+        logged = []
+        previous = -1
+        for pair in breaches:
+            if (
+                type(pair) not in (tuple, list)
+                or len(pair) != 2
+                or type(pair[0]) is not int
+                or type(pair[1]) is not int
+            ):
+                raise ValueError(
+                    f"breaches are (stream, deficit) pairs of integers, got {pair!r}"
                 )
-        self.ledger._log(
-            "throughput_breach", contract=self.id, caller=caller, scp=scp, qci=qci, deficit=deficit
-        )
+            stream, deficit = pair
+            if not 0 <= stream < width:
+                raise ValueError(f"stream {stream} is not one of the {width} active streams")
+            if stream <= previous:
+                raise ValueError(
+                    f"breach streams must strictly ascend, got {stream} after {previous}"
+                )
+            if deficit < 1:
+                raise ZeroDeficit(f"a deficit of {deficit} is not a breach")
+            previous = stream
+            logged.append((stream, deficit))
+        ledger = self.ledger
+        removed = False
+        spans_left = iter(self._spans)
+        end = 0
+        for stream, deficit in logged:
+            while stream >= end:
+                record, start, end = next(spans_left)
+            if not record.active:
+                continue  # removed by an earlier pair of this call
+            debit = record.terms.penalty_debit(deficit)
+            record.credit -= debit
+            ledger.append_event(
+                EventKind.INSUFFICIENT_THROUGHPUT,
+                record.address,
+                qci=record.qcis[stream - start],
+                payload=(("deficit", deficit), ("debit", debit)),
+            )
+            if not record.breached_this_period:
+                record.breached_this_period = True
+                record.consecutive_strikes += 1
+                if record.consecutive_strikes >= record.terms.strike_limit:
+                    record.active = False
+                    removed = True
+                    ledger.append_event(
+                        EventKind.SCP_REMOVED,
+                        record.address,
+                        payload=(("strikes", record.consecutive_strikes),),
+                    )
+        if removed:
+            self._rebuild_streams()
+        ledger._log("throughput_breach", contract=self.id, caller=caller, breaches=logged)
 
     def _payout_for(self, record: ScpRecord) -> int:
         if record.terms.payment_mode == FLAT_RATE:

@@ -32,8 +32,11 @@ from .errors import DuplicateAddress, InsufficientFunds, UnknownAddress
 from .fileio import atomic_write
 
 TXLOG_FORMAT = "slasim-txlog"
-TXLOG_VERSION = 5  # 5: record_traffic takes one kb value per stream, in stream order
+TXLOG_VERSION = 6  # 6: throughput_breach takes one period's (stream, deficit) pairs
 TXLOG_HEADER_KEYS = frozenset({"format", "version", "digest", "entries"})
+
+# One encoder for every log entry: ``json.dumps`` would build a new one per call
+_encode_entry = json.JSONEncoder(sort_keys=True).encode
 
 # Events the digest lets build up before it folds them in one encoder call, so
 # the rows and JSON text held at once stay small.  Rows are encoded as they are
@@ -201,7 +204,7 @@ class Ledger:
         """
         self.num_entries += 1
         if self.txlog is not None:
-            self.txlog.write(json.dumps({"op": op, **fields}, sort_keys=True) + "\n")
+            self.txlog.write(_encode_entry({"op": op, **fields}) + "\n")
 
     def attach_contract(self, contract) -> None:
         if contract.id in self.contracts:

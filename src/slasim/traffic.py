@@ -2,7 +2,9 @@
 
 Generates per-period, per-provider, per-QCI served traffic and measured
 average throughput from a scenario, detects throughput breaches against the
-agreed levels, and drives the contract through record/breach/close cycles.
+agreed levels, and drives the contract through record/breach/close cycles:
+each period is one ``record_traffic`` vector, one ``throughput_breach`` batch
+of ``(stream, deficit)`` pairs if any active stream fell short, and a close.
 
 The measurement window equals one accounting period, so served kb and the
 measured average throughput coincide.  For each stream the per-period value
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import count
 from operator import add, mod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -91,18 +94,16 @@ def agreed_levels(
     return [terms_by_label[label].agreed_throughput[qci] for label, qci in streams]
 
 
-def detect_breaches(
-    streams: Sequence[Tuple[str, int]], kb: Sequence[int], agreed: Sequence[int]
-) -> List[Tuple[str, int, int]]:
-    """Breach entries (label, qci, deficit) for every measured < agreed.
+def detect_breaches(kb: Sequence[int], agreed: Sequence[int]) -> List[Tuple[int, int]]:
+    """``(stream, deficit)`` for every stream whose measured kb < agreed level.
 
-    ``kb`` and ``agreed`` (see ``agreed_levels``) hold one value per stream.
-    Strict inequality: meeting the agreed average exactly is not a breach.
-    Output follows the order of ``streams``, a trace's (label, qci) order.
+    ``kb`` and ``agreed`` (see ``agreed_levels``) hold one value per stream of
+    a trace, and ``stream`` is its index there, ascending.  Strict
+    inequality: meeting the agreed average exactly is not a breach.
     """
     return [
-        (label, qci, level - measured)
-        for (label, qci), measured, level in zip(streams, kb, agreed)
+        (stream, level - measured)
+        for stream, measured, level in zip(count(), kb, agreed)
         if measured < level
     ]
 
@@ -129,23 +130,26 @@ def drive(
     terms_by_label = {scp.label: scp.terms for scp in config.scps}
     agreed = agreed_levels(trace.streams, terms_by_label)
     registry = contract.registry
-    # the trace columns of the active streams, once a removal leaves some out;
-    # until then a period's values are the contract's vector as they are
-    columns: Optional[List[int]] = None
+    # trace column -> contract stream index of each active stream, once a
+    # removal leaves some out; until then a trace stream is its own contract
+    # stream and a period's values are the contract's vector as they are
+    position: Optional[Dict[int, int]] = None
 
     for period in range(config.num_periods):
         kb = trace.periods[period]
-        active_kb = kb if columns is None else [kb[i] for i in columns]
+        active_kb = kb if position is None else [kb[i] for i in position]
         if active_kb:
             contract.record_traffic(owner, active_kb)
-        for label, qci, deficit in detect_breaches(trace.streams, kb, agreed):
-            record = registry[label]
-            if record.active:
-                contract.throughput_breach(owner, label, qci, deficit)
-                if not record.active:
-                    columns = [
-                        i for i, (name, _) in enumerate(trace.streams) if registry[name].active
-                    ]
+        breaches = detect_breaches(kb, agreed)
+        if position is not None:
+            breaches = [(position[i], deficit) for i, deficit in breaches if i in position]
+        if breaches:
+            contract.throughput_breach(owner, breaches)
+            if contract.num_streams != len(active_kb):
+                columns = [
+                    i for i, (name, _) in enumerate(trace.streams) if registry[name].active
+                ]
+                position = {i: j for j, i in enumerate(columns)}
         contract.close_period(owner)
 
     for label in sorted(terms_by_label):

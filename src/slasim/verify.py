@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .config import PER_TRAFFIC, SlaTerms
 from .contract import SlaContract
-from .errors import ContractError, InactiveScp
+from .errors import ContractError
 from .ledger import Ledger
 from .report import RowFold
 
@@ -55,7 +55,7 @@ def contract_removal_period(seq: Sequence[bool], limit: int = 3) -> Optional[int
     contract.deposit(owner, 10_000)
     for breached in seq:
         if breached and contract.registry[scp].active:
-            contract.throughput_breach(owner, scp, 1, 10)
+            contract.throughput_breach(owner, [(0, 10)])
         if not contract.registry[scp].active:
             return ledger.current_period  # the breach just removed it
         contract.close_period(owner)
@@ -148,6 +148,7 @@ def conservation_fuzz(num_ops: int, seed: int = 0) -> Optional[dict]:
         strike_limit=3,
     )
     scps = [ledger.create_account(0, f"scp-{i}") for i in range(6)]
+    streams = list(product(scps, [1, 2]))
     for scp in scps:
         contract.register_scp(owner, scp, terms)
     contract.deposit(owner, 10**9)
@@ -171,15 +172,17 @@ def conservation_fuzz(num_ops: int, seed: int = 0) -> Optional[dict]:
                 contract.deposit(owner, rng.randrange(0, 10_000))
             elif action == "traffic":
                 # one stream's kb; the other active streams record 0
-                stream = (rng.choice(scps), rng.choice([1, 2]))
-                kb = rng.randrange(0, 2_000)
-                order = contract.stream_order
-                if stream not in order:
-                    raise InactiveScp(f"{stream[0]!r} has been removed from the register")
-                contract.record_traffic(owner, [kb if s == stream else 0 for s in order])
+                scp, qci, kb = rng.choice(scps), rng.choice([1, 2]), rng.randrange(0, 2_000)
+                stream = contract.stream_of(scp, qci)
+                contract.record_traffic(
+                    owner, [kb if i == stream else 0 for i in range(contract.num_streams)]
+                )
             elif action == "breach":
+                # 1-3 distinct streams; stream_of raises for a removed provider's
+                picked = rng.sample(streams, rng.randint(1, 3))
                 contract.throughput_breach(
-                    owner, rng.choice(scps), rng.choice([1, 2]), rng.randrange(1, 800)
+                    owner,
+                    sorted((contract.stream_of(*s), rng.randrange(1, 800)) for s in picked),
                 )
             elif action == "close":
                 contract.close_period(owner)

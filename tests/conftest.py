@@ -32,6 +32,11 @@ def make_flat_terms(rate: int = 500, **overrides) -> SlaTerms:
     return SlaTerms(**kwargs)
 
 
+def breach(contract, scp, qci, deficit):
+    """The owner reports one breach of ``scp``'s ``qci`` stream, as a batch of one pair."""
+    contract.throughput_breach(contract.owner, [(contract.stream_of(scp, qci), deficit)])
+
+
 class RecordingFold(RowFold):
     """A ``RowFold`` that also keeps each event it is shown, in ``events``."""
 

@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from conftest import folded_run, make_terms
+from conftest import breach, folded_run, make_terms
 from slasim import Ledger, SlaContract, verify
 from slasim.cli import (
     FUZZ_OPS,
@@ -278,7 +278,7 @@ def test_failsafe_semantics():
         lambda: contract.register_scp(owner, "x", make_terms()),
         lambda: contract.deposit(owner, 1),
         lambda: contract.record_traffic(owner, [1, 0]),
-        lambda: contract.throughput_breach(owner, scp, 1, 1),
+        lambda: breach(contract, scp, 1, 1),
         lambda: contract.close_period(owner),
     ]
     for mutator in mutators:

@@ -194,15 +194,16 @@ def _csv_writer_failing_partway(fh):
     raise _disk_full()
 
 
-def _json_dumps_failing_after(allowed):
+def _entry_encoder_failing_after(allowed):
     calls = itertools.count()
+    encode = ledger._encode_entry
 
-    def dumps(obj, **kwargs):
+    def encode_or_fail(entry):
         if next(calls) >= allowed:
             raise _disk_full()
-        return json.dumps(obj, **kwargs)
+        return encode(entry)
 
-    return dumps
+    return encode_or_fail
 
 
 @pytest.mark.parametrize("target", [REPORT_JSON, REPORT_CSV, TXLOG_FILE])
@@ -217,7 +218,7 @@ def test_failed_write_keeps_existing_output(config_file, tmp_path, monkeypatch, 
         REPORT_CSV: (report, "csv", SimpleNamespace(writer=_csv_writer_failing_partway)),
         # each entry is written as it is logged: setup_run logs five entries and
         # the sixth, the first period's traffic, fails inside drive
-        TXLOG_FILE: (ledger, "json", SimpleNamespace(dumps=_json_dumps_failing_after(5))),
+        TXLOG_FILE: (ledger, "_encode_entry", _entry_encoder_failing_after(5)),
     }[target]
     monkeypatch.setattr(module, name, encoder)
     assert run_cli("run", "--config", config_file, "--out", out) == EXIT_ABORT

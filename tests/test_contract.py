@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import entries_of, fold_of, log_state, make_flat_terms, make_terms
+from conftest import breach, entries_of, fold_of, log_state, make_flat_terms, make_terms
 from slasim import FLAT_RATE, EventKind, Ledger, SlaContract, SlaTerms
 from slasim.config import to_json
 from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_replay
@@ -16,10 +16,13 @@ from slasim.errors import (
     AlreadyRegistered,
     ContractDisabled,
     InsufficientEscrowForAccrual,
+    InactiveScp,
     InsufficientFunds,
     NotDisabled,
     NothingToWithdraw,
     NotOwner,
+    UnknownQci,
+    UnknownScp,
     ZeroDeficit,
 )
 from slasim.replay import replay_entries
@@ -52,7 +55,7 @@ class TestRegistration:
     def test_reregistration_after_removal_starts_fresh(self, world):
         _, contract, owner, scp = world
         for _ in range(3):
-            contract.throughput_breach(owner, scp, 1, 10)
+            breach(contract, scp, 1, 10)
             contract.close_period(owner)
         assert status(contract, scp) == (False, -150, 3)
         contract.register_scp(owner, scp, make_terms())
@@ -140,7 +143,7 @@ class TestRecordTraffic:
     def test_removed_scp_rejected(self, world):
         _, contract, owner, scp = world
         for _ in range(3):
-            contract.throughput_breach(owner, scp, 1, 1)
+            breach(contract, scp, 1, 1)
             contract.close_period(owner)
         assert contract.stream_order == []
         with pytest.raises(ValueError, match="expected 0 kb values"):
@@ -168,7 +171,7 @@ class TestRecordTrafficBatch:
         contract.register_scp(owner, other, make_terms(agreed_throughput={1: 1000},
                                                        price_per_kb={1: 2}))
         for _ in range(3):
-            contract.throughput_breach(owner, other, 1, 1)
+            breach(contract, other, 1, 1)
             contract.close_period(owner)
         contract.record_traffic(owner, [10, 0])
         return ledger, contract, owner, scp
@@ -259,7 +262,7 @@ def stream_world(stage):
     contract.register_scp(owner, a, make_terms(strike_limit=1))
     contract.deposit(owner, 100_000)
     if stage != "fresh":
-        contract.throughput_breach(owner, a, 1, 1)
+        breach(contract, a, 1, 1)
         contract.close_period(owner)
     if stage == "a-reregistered":
         contract.register_scp(
@@ -289,6 +292,22 @@ class TestStreamOrder:
         }
         assert served == {stream: i for i, stream in enumerate(order, start=1)}
         assert entries_of(ledger)[-1]["kb"] == list(range(1, len(order) + 1))
+
+    @pytest.mark.parametrize("stage, order", STREAM_ORDERS, ids=STAGES)
+    def test_stream_of_indexes_the_stream_order(self, stage, order):
+        _, contract, _ = stream_world(stage)
+        assert [contract.stream_of(scp, qci) for scp, qci in order] == list(range(len(order)))
+
+    @pytest.mark.parametrize(
+        "scp, qci, error",
+        [("scp-z", 1, UnknownScp), ("scp-a", 1, InactiveScp), ("scp-b", 5, UnknownQci),
+         ("scp-b", True, UnknownQci)],
+        ids=["unknown-scp", "removed-scp", "unknown-qci", "bool-qci"],
+    )
+    def test_stream_of_rejects_what_is_not_an_active_stream(self, scp, qci, error):
+        _, contract, _ = stream_world("a-removed")
+        with pytest.raises(error):
+            contract.stream_of(scp, qci)
 
     @pytest.mark.parametrize("stage", STAGES)
     @pytest.mark.parametrize(
@@ -363,7 +382,7 @@ class TestClosePeriod:
             contract.register_scp(owner, ledger.create_account(0, address), make_terms())
         contract.deposit(owner, 10_000)
         for _ in range(3):  # scp-d is removed, then re-registered in place
-            contract.throughput_breach(owner, "scp-d", 1, 1)
+            breach(contract, "scp-d", 1, 1)
             contract.close_period(owner)
         contract.register_scp(owner, "scp-d", make_terms())
         contract.close_period(owner)
@@ -411,11 +430,11 @@ class TestClosePeriod:
         contract.record_traffic(owner, [0, 0, 500, 0, 0, 0])  # pays b 1000
         contract.close_period(owner)
         for scp in (a, b):  # penalty 5/kb: debit 50, removed at the first strike
-            contract.throughput_breach(owner, scp, 1, 10)
+            breach(contract, scp, 1, 10)
         contract.register_scp(owner, b, make_terms())  # archives b's credit 950
         # streams: (b, 1), (b, 5), (c, 1), (c, 5)
         contract.record_traffic(owner, [100, 0, 0, 0])  # the fresh record earns 200
-        contract.throughput_breach(owner, c, 1, 100)  # debit 500
+        breach(contract, c, 1, 100)  # debit 500
         contract.record_traffic(owner, [0, 0, 50, 0])  # pays 100: -400 after close
         owed = 1950 + 950 + 200  # removed a, archived b, active b; c counts 0
         contract.deposit(owner, owed - 1 - contract.escrow)
@@ -450,7 +469,7 @@ class TestClosePeriod:
 class TestThroughputBreach:
     def test_proportional_debit(self, world):
         _, contract, owner, scp = world  # penalty_rate (5, 1)
-        contract.throughput_breach(owner, scp, 1, 10)
+        breach(contract, scp, 1, 10)
         assert contract.registry[scp].credit == -50
 
     def test_floor_rounding(self, ledger):
@@ -459,35 +478,99 @@ class TestThroughputBreach:
         scp = ledger.create_account(0, "scp-1")
         contract.register_scp(owner, scp, make_terms(penalty_rate=(1, 3)))
         contract.deposit(owner, 10_000)
-        contract.throughput_breach(owner, scp, 1, 10)
+        breach(contract, scp, 1, 10)
         assert contract.registry[scp].credit == -3  # floor(10/3)
 
     def test_zero_deficit_rejected(self, world):
         _, contract, owner, scp = world
         with pytest.raises(ZeroDeficit):
-            contract.throughput_breach(owner, scp, 1, 0)
+            breach(contract, scp, 1, 0)
 
+    # world's streams: (scp-1, 1), (scp-1, 5)
     @pytest.mark.parametrize(
-        "qci, deficit",
+        "pair",
         [(1, 2.5), (1, True), (1, "3"), (True, 10)],
-        ids=["float-deficit", "bool-deficit", "str-deficit", "bool-qci"],
+        ids=["float-deficit", "bool-deficit", "str-deficit", "bool-stream"],
     )
-    def test_non_integer_breach_rejected(self, world, qci, deficit):
-        ledger, contract, owner, scp = world
+    def test_non_integer_breach_rejected(self, world, pair):
+        ledger, contract, owner, _ = world
         before = ledger.canonical_state()
         logged = log_state(ledger)
-        with pytest.raises(ValueError, match="must be integers"):
-            contract.throughput_breach(owner, scp, qci, deficit)
+        with pytest.raises(ValueError, match="pairs of integers"):
+            contract.throughput_breach(owner, [(0, 10), pair])
         assert ledger.canonical_state() == before
+        assert log_state(ledger) == logged
+
+    @pytest.mark.parametrize(
+        "batch, error, message",
+        [
+            ([(1, 10), (0, 10)], ValueError, "strictly ascend"),
+            ([(0, 10), (0, 10)], ValueError, "strictly ascend"),
+            ([(0, 10), (2, 10)], ValueError, "not one of the 2 active streams"),
+            ([(-1, 10)], ValueError, "not one of the 2 active streams"),
+            ([(0, 10), (1, 0)], ZeroDeficit, "deficit of 0"),
+            ([(0, 10), (1, -5)], ZeroDeficit, "deficit of -5"),
+            ([(0, 10), (1, 2.5)], ValueError, "pairs of integers"),
+            ([(0, 10), (1, True)], ValueError, "pairs of integers"),
+            ([(0, 10), (1,)], ValueError, "pairs of integers"),
+            ([(0, 10), (1, 10, 5)], ValueError, "pairs of integers"),
+            ([(0, 10), 1], ValueError, "pairs of integers"),
+        ],
+        ids=["unsorted", "duplicate-stream", "out-of-range", "negative-stream", "zero-deficit",
+             "negative-deficit", "float", "bool", "short-pair", "long-pair", "not-a-pair"],
+    )
+    def test_bad_batch_raises_and_changes_nothing(self, world, batch, error, message):
+        ledger, contract, owner, _ = world
+        state, logged = ledger.canonical_state(), log_state(ledger)
+        with pytest.raises(error, match=message):
+            contract.throughput_breach(owner, batch)
+        assert ledger.canonical_state() == state
         assert log_state(ledger) == logged
 
     def test_one_strike_per_period(self, world):
         _, contract, owner, scp = world
-        contract.throughput_breach(owner, scp, 1, 10)
-        contract.throughput_breach(owner, scp, 5, 10)
+        contract.throughput_breach(owner, [(0, 10), (1, 10)])
+        breach(contract, scp, 5, 10)  # a second call in the same period
         assert contract.registry[scp].consecutive_strikes == 1
-        # both debits applied even though only one strike
-        assert contract.registry[scp].credit == -100
+        # every debit applied even though only one strike
+        assert contract.registry[scp].credit == -150
+        contract.close_period(owner)
+        breach(contract, scp, 1, 10)
+        contract.throughput_breach(owner, [(0, 1), (1, 1)])
+        assert contract.registry[scp].consecutive_strikes == 2
+        assert contract.registry[scp].credit == -210
+
+    def test_removal_mid_batch_skips_the_later_pairs(self, ledger, events, monkeypatch):
+        owner = ledger.create_account(100_000, "mno")
+        contract = SlaContract(ledger, owner)
+        for label, terms in (
+            ("a", make_terms(strike_limit=1)),  # QCIs 1 and 5
+            ("b", make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2}, strike_limit=1)),
+            ("c", make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2})),
+        ):
+            contract.register_scp(owner, ledger.create_account(0, label), terms)
+        contract.deposit(owner, 100_000)
+        assert contract.stream_order == [("a", 1), ("a", 5), ("b", 1), ("c", 1)]
+        rebuilds = []
+        rebuild = contract._rebuild_streams
+        monkeypatch.setattr(contract, "_rebuild_streams", lambda: rebuilds.append(rebuild()))
+        first = len(events)
+        # a is removed by its first pair, so its QCI 5 pair takes no debit; b too
+        contract.throughput_breach(owner, [(0, 10), (1, 20), (2, 30), (3, 40)])
+        assert [(e.kind, e.subject, e.qci) for e in events[first:]] == [
+            (EventKind.INSUFFICIENT_THROUGHPUT, "a", 1),
+            (EventKind.SCP_REMOVED, "a", None),
+            (EventKind.INSUFFICIENT_THROUGHPUT, "b", 1),
+            (EventKind.SCP_REMOVED, "b", None),
+            (EventKind.INSUFFICIENT_THROUGHPUT, "c", 1),
+        ]
+        assert [status(contract, scp) for scp in "abc"] == [
+            (False, -50, 1), (False, -150, 1), (True, -200, 1)
+        ]
+        assert len(rebuilds) == 1
+        assert contract.stream_order == [("c", 1)]
+        assert entries_of(ledger)[-1]["breaches"] == [[0, 10], [1, 20], [2, 30], [3, 40]]
+        assert replay_entries(entries_of(ledger)).state_digest() == ledger.state_digest()
 
     def test_clean_period_resets_counter(self, world):
         _, contract, owner, scp = world
@@ -496,7 +579,7 @@ class TestThroughputBreach:
         removal = None
         for period, breached in enumerate(pattern):
             if breached:
-                contract.throughput_breach(owner, scp, 1, 10)
+                breach(contract, scp, 1, 10)
             if not contract.registry[scp].active and removal is None:
                 removal = period
             contract.close_period(owner)
@@ -506,7 +589,7 @@ class TestThroughputBreach:
     def test_removal_event_and_credit_preserved(self, world, events):
         ledger, contract, owner, scp = world
         for _ in range(3):
-            contract.throughput_breach(owner, scp, 1, 10)
+            breach(contract, scp, 1, 10)
             contract.close_period(owner)
         active, credit, strikes = status(contract, scp)
         assert (active, credit, strikes) == (False, -150, 3)
@@ -557,7 +640,7 @@ class TestWithdraw:
 
     def test_debt_blocks_withdrawal_until_repaid(self, world):
         _, contract, owner, scp = world
-        contract.throughput_breach(owner, scp, 1, 10)  # credit -50
+        breach(contract, scp, 1, 10)  # credit -50
         contract.close_period(owner)
         with pytest.raises(NothingToWithdraw):
             contract.withdraw(scp)
@@ -572,7 +655,7 @@ class TestWithdraw:
         contract.register_scp(owner, other, make_terms(strike_limit=1))
         contract.record_traffic(owner, [0, 0, 1000, 0])  # scp-2 earns 2000
         contract.close_period(owner)
-        contract.throughput_breach(owner, other, 1, 1)  # debit 5, removed
+        breach(contract, other, 1, 1)  # debit 5, removed
         assert status(contract, other) == (False, 1995, 1)
         # back under another QCI set: the stream order and vector length follow
         contract.register_scp(
@@ -595,7 +678,7 @@ class TestWithdraw:
     def test_archived_debt_stays_frozen(self, world, events):
         ledger, contract, owner, scp = world
         for _ in range(3):  # credit -150, removed
-            contract.throughput_breach(owner, scp, 1, 10)
+            breach(contract, scp, 1, 10)
             contract.close_period(owner)
         contract.register_scp(owner, scp, make_terms())
         contract.record_traffic(owner, [100, 0])  # the fresh record earns 200
@@ -635,7 +718,7 @@ class TestFailSafe:
         with pytest.raises(ContractDisabled):
             contract.deposit(owner, 1)
         with pytest.raises(ContractDisabled):
-            contract.throughput_breach(owner, scp, 1, 1)
+            breach(contract, scp, 1, 1)
         with pytest.raises(ContractDisabled):
             contract.close_period(owner)
         with pytest.raises(ContractDisabled):
@@ -705,9 +788,9 @@ class TestEventReconstruction:
                           for s, qci in contract.stream_order]
                     contract.record_traffic(owner, kb)
             if period % 2 == 0 and contract.registry[scps[0]].active:
-                contract.throughput_breach(owner, scps[0], 1, 20)
+                breach(contract, scps[0], 1, 20)
             if contract.registry[scps[1]].active:
-                contract.throughput_breach(owner, scps[1], 5, 7)
+                breach(contract, scps[1], 5, 7)
             contract.close_period(owner)
         contract.withdraw(scps[2])
         assert registry_matches_events(contract, fold_of(events)) is None
@@ -717,12 +800,12 @@ class TestEventReconstruction:
         contract.record_traffic(owner, [100, 0])
         contract.close_period(owner)
         for _ in range(3):
-            contract.throughput_breach(owner, scp, 1, 10)
+            breach(contract, scp, 1, 10)
             contract.close_period(owner)
         assert not contract.registry[scp].active
         assert registry_matches_events(contract, fold_of(events)) is None
         contract.register_scp(owner, scp, make_terms())
-        contract.throughput_breach(owner, scp, 5, 1)
+        breach(contract, scp, 5, 1)
         contract.close_period(owner)
         assert registry_matches_events(contract, fold_of(events)) is None
         row = fold_of(events).rows(ledger.current_period)[scp]
@@ -874,7 +957,7 @@ class TestSettlementReference:
                 if record is not None and record.active:
                     qcis = sorted(record.terms.agreed_throughput)
                     qci = qcis[args[1] % len(qcis)]
-                    contract.throughput_breach(owner, address, qci, args[2])
+                    breach(contract, address, qci, args[2])
                     reference.breach(address, qci, args[2])
             elif op == "register":
                 address, terms = SETTLEMENT_SCPS[args[0]], SETTLEMENT_TERMS[args[1]]

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from conftest import entries_of, folded_run, make_flat_terms, make_terms
+from conftest import breach, entries_of, folded_run, make_flat_terms, make_terms
 from test_config import NON_CANONICAL_QCI_KEYS, NON_INTEGER_TERMS, valid_dict
 from test_ledger import documented_events_state
 from slasim import Ledger, SlaContract, replay
@@ -30,7 +30,7 @@ def busy_world():
     for period in range(4):
         contract.record_traffic(owner, [500 + period, 0])
         if period == 2:
-            contract.throughput_breach(owner, scp, 1, 40)
+            breach(contract, scp, 1, 40)
         contract.close_period(owner)
     contract.withdraw(scp)
     return ledger
@@ -76,6 +76,21 @@ def test_tampered_amount_is_detected(tmp_path):
         replay_file(path)
 
 
+def test_tampered_deficit_is_detected(tmp_path):
+    ledger = busy_world()
+    path = tmp_path / "log.jsonl"
+    ledger.export_txlog(path)
+    lines = path.read_text().splitlines()
+    [i] = [i for i, line in enumerate(lines) if '"op": "throughput_breach"' in line]
+    entry = json.loads(lines[i])
+    assert entry["breaches"] == [[0, 40]]
+    entry["breaches"][0][1] += 1
+    lines[i] = json.dumps(entry, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DigestMismatch):
+        replay_file(path)
+
+
 def every_op_world(ledger=None):
     """A ledger whose log holds every logged operation, a re-registration included."""
     ledger = Ledger(io.StringIO()) if ledger is None else ledger
@@ -90,7 +105,7 @@ def every_op_world(ledger=None):
     for _ in range(3):  # scp breaches three periods running and is removed
         contract.record_traffic(owner, [500, 0, 0])
         contract.record_traffic(owner, [0, 200, 300])
-        contract.throughput_breach(owner, scp, 1, 40)
+        breach(contract, scp, 1, 40)
         contract.close_period(owner)
     contract.register_scp(owner, scp, make_terms(strike_limit=2))  # archives the old record
     contract.record_traffic(owner, [100, 0, 0])
@@ -146,11 +161,11 @@ def test_wire_format_is_pinned(tmp_path):
     config.write_text(json.dumps(valid_dict()))
     out = tmp_path / "out"
     assert cmd_run(str(config), str(out)) == EXIT_OK
-    assert sha256_of(out / "txlog.jsonl") == "a83c247059e5faf59b9dccb066035629ba44560eaf3bf5d68fb41974fedb9a9a"
+    assert sha256_of(out / "txlog.jsonl") == "cd9e25f59acada6d06dcb279880f3f67acaae4bb5d101559fb17f00ade02cafe"
     assert sha256_of(out / "report.csv") == "31d8e3dfffd1fefa528ec5d864f2387b1fff5205e94ef8b4495db6a27f9143d1"
     assert json.loads((out / "report.json").read_text())["digest"] == "b3f0d5456e375c4d4fe52ed25a10f3c3ed5cce489dc00ca9084dca3d09e2ed65"
     every_op_world().export_txlog(tmp_path / "every_op.jsonl")
-    assert sha256_of(tmp_path / "every_op.jsonl") == "b6ad6281ed1a0d3f8d99e613fe145a6dbaa7a55dd15bd99d420d182d31abe531"
+    assert sha256_of(tmp_path / "every_op.jsonl") == "2d1610333e82742349ee9894f21827104836cc102004510d1b5dbdaf0c0d54b0"
 
 
 def test_run_log_equals_in_memory_log(tmp_path):
@@ -270,7 +285,7 @@ def test_bad_batch_sample_rejected_on_replay(tmp_path, bad):
     contract.deposit(owner, 80_000)
     for _ in range(3):  # scp-2 breaches three periods running and is removed
         contract.record_traffic(owner, [500, 0, 500, 0])
-        contract.throughput_breach(owner, "scp-2", 1, 40)
+        breach(contract, "scp-2", 1, 40)
         contract.close_period(owner)
     path = tmp_path / "log.jsonl"
     ledger.export_txlog(path)
@@ -288,8 +303,8 @@ def test_bad_batch_sample_rejected_on_replay(tmp_path, bad):
         replay_entries(entries)
 
 
-# 5.0 == 5 and True == 1 in Python, but the header fields are integers
-@pytest.mark.parametrize("version", [1, 2, 3, 4.0, 4, 5.0])
+# 6.0 == 6 and True == 1 in Python, but the header fields are integers
+@pytest.mark.parametrize("version", [1, 2, 3, 4.0, 4, 5.0, 5, 6.0])
 def test_old_log_version_rejected(tmp_path, version):
     path = tmp_path / "log.jsonl"
     busy_world().export_txlog(path)
@@ -298,7 +313,7 @@ def test_old_log_version_rejected(tmp_path, version):
     header["version"] = version
     lines[0] = json.dumps(header, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
-    expected = rf"unsupported log version {version} \(expected 5\)"
+    expected = rf"unsupported log version {version} \(expected 6\)"
     with pytest.raises(MalformedLog, match=expected):
         replay_file(path)
 
@@ -428,16 +443,29 @@ SCP_WORLD = WORLD + [
     "entry",
     [
         {"op": "record_traffic", "kb": [1.5]},
-        {"op": "throughput_breach", "scp": "scp-1", "qci": True, "deficit": 3},
-        {"op": "throughput_breach", "scp": "scp-1", "qci": 1, "deficit": 2.5},
+        {"op": "throughput_breach", "breaches": [[True, 3]]},
+        {"op": "throughput_breach", "breaches": [[0, 2.5]]},
         {"op": "record_traffic", "kb": [True]},
     ],
-    ids=["float-kb", "bool-qci", "float-deficit", "bool-kb"],
+    ids=["float-kb", "bool-stream", "float-deficit", "bool-kb"],
 )
 def test_non_integer_traffic_rejected(entry):
     entry = {"contract": "sla-0", "caller": "mno", **entry}
     with pytest.raises(MalformedLog, match=rf"entry 4 \({entry['op']}\): bad fields: .*integers"):
         replay_entries(decoded(SCP_WORLD + [entry]))
+
+
+def test_unsorted_breach_pairs_rejected():
+    world = SCP_WORLD + [
+        {"op": "create_account", "label": "scp-2", "balance": 0},
+        {"op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "scp-2",
+         "terms": valid_dict()["scps"][0]["terms"]},
+    ]
+    # streams (scp-1, 1) and (scp-2, 1), listed in descending order
+    entry = {"op": "throughput_breach", "contract": "sla-0", "caller": "mno",
+             "breaches": [[1, 3], [0, 3]]}
+    with pytest.raises(MalformedLog, match=r"entry 6 \(throughput_breach\): bad fields: .*ascend"):
+        replay_entries(decoded(world + [entry]))
 
 
 @pytest.mark.parametrize("line", [0, 1], ids=["header", "entry"])

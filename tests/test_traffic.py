@@ -238,10 +238,10 @@ class TestTraceOracle:
 
 class TestDetectBreaches:
     def test_exact_measure_is_not_a_breach(self):
-        assert detect_breaches([("scp-1", 1)], [1000], [1000]) == []
+        assert detect_breaches([1000], [1000]) == []
 
     def test_deficit_is_the_difference(self):
-        assert detect_breaches([("scp-1", 1)], [400], [1000]) == [("scp-1", 1, 600)]
+        assert detect_breaches([400], [1000]) == [(0, 600)]
 
     def test_mixed_slice_deterministic_order(self):
         # 3 SCPs x 2 QCIs, shortfalls only at (b, 1) and (a, 5); by hand:
@@ -253,7 +253,8 @@ class TestDetectBreaches:
         agreed = agreed_levels(streams, terms)
         assert agreed == [1000, 500] * 3
         kb = [1000, 100, 900, 500, 1200, 600]
-        assert detect_breaches(streams, kb, agreed) == [("a", 5, 400), ("b", 1, 100)]
+        # (a, 5) and (b, 1) are streams 1 and 2, in ascending order
+        assert detect_breaches(kb, agreed) == [(1, 400), (2, 100)]
 
     def test_unknown_qci(self):
         # the agreed row is built once per drive, and it names the stream
@@ -312,7 +313,7 @@ class TestDrive:
         removed_at = None
         strikes = 0
         for period in range(20):
-            breaches = detect_breaches(trace.streams, trace.periods[period], agreed)
+            breaches = detect_breaches(trace.periods[period], agreed)
             if removed_at is None:
                 expected += len(breaches)
                 if breaches:
@@ -352,6 +353,49 @@ class TestDrive:
                 if label != "scp-1" or period <= removed
             ]
             assert kb == expected
+        assert registry_matches_events(contract, fold) is None
+
+    def test_breach_entries_index_the_active_streams(self):
+        """One batch per period with an active breach, indexing the active streams."""
+        config = scenario(variability=(1, 4), agreed=1000, num_periods=30)
+        # scp-0 never breaches; scp-2, after scp-1 in stream order, is never removed
+        for label, level, limit in (("scp-0", 0, 3), ("scp-2", 1000, 100)):
+            config.scps.append(
+                ScpScenario(
+                    label=label,
+                    terms=make_terms(agreed_throughput={1: level, 5: level},
+                                     penalty_rate=(1, 1), strike_limit=limit),
+                    traffic={q: TrafficModel(nominal_kb=1000, variability=(1, 4))
+                             for q in (1, 5)},
+                )
+            )
+        trace = generate_trace(config)
+        terms = {scp.label: scp.terms for scp in config.scps}
+        agreed = agreed_levels(trace.streams, terms)
+        ledger, contract, fold = folded_run(config, io.StringIO())
+        report = drive(ledger, contract, config, fold, trace=trace)
+        removed = report.rows["scp-1"].removal_period
+        assert removed is not None and removed < 25
+        batches = {}
+        period = 0
+        for entry in entries_of(ledger):
+            if entry["op"] == "close_period":
+                period += 1
+            elif entry["op"] == "throughput_breach":
+                batches[period] = entry["breaches"]
+        expected = {}
+        for period in range(30):
+            # the trace index of each stream active when the period's batch is sent
+            active = [i for i, (label, _) in enumerate(trace.streams)
+                      if label != "scp-1" or period <= removed]
+            pairs = [[active.index(i), deficit]
+                     for i, deficit in detect_breaches(trace.periods[period], agreed)
+                     if i in active]
+            if pairs:
+                expected[period] = pairs
+        assert batches == expected
+        # scp-2 breaches after the removal, through the remapped indices
+        assert any(period > removed for period in batches)
         assert registry_matches_events(contract, fold) is None
 
     def test_run_twice_identical_reports(self):
