@@ -167,9 +167,7 @@ class SlaContract:
         self._require_enabled()
         self.ledger.transfer(caller, self.account, amount)
         self.total_deposits += amount
-        self.ledger.append_event(
-            EventKind.DEPOSIT, caller, payload=(("amount", amount),)
-        )
+        self.ledger.append_event(EventKind.DEPOSIT, caller, None, amount)
         self.ledger._log("deposit", contract=self.id, caller=caller, amount=amount)
 
     # --- per-period flow ------------------------------------------------------
@@ -226,9 +224,10 @@ class SlaContract:
         ``stream`` indexes ``stream_order`` as it stands when the call begins,
         and the streams strictly ascend.  The whole batch is checked before
         any record changes, so a bad call changes nothing.  Each pair then
-        debits its record and emits its event, in order; the record's first
-        breach of the period is a strike, and reaching the strike limit
-        removes it, after which its later pairs in the call take no debit.
+        debits its record, in order; the record's first breach of the period
+        is a strike, and reaching the strike limit removes it, after which its
+        later pairs in the call take no debit.  The call's events, each
+        breach's and each removal's in that order, are appended together.
         """
         self._require_owner(caller)
         self._require_enabled()
@@ -256,7 +255,7 @@ class SlaContract:
                 raise ZeroDeficit(f"a deficit of {deficit} is not a breach")
             previous = stream
             logged.append((stream, deficit))
-        ledger = self.ledger
+        events = []
         removed = False
         spans_left = iter(self._spans)
         end = 0
@@ -267,26 +266,20 @@ class SlaContract:
                 continue  # removed by an earlier pair of this call
             debit = record.terms.penalty_debit(deficit)
             record.credit -= debit
-            ledger.append_event(
-                EventKind.INSUFFICIENT_THROUGHPUT,
-                record.address,
-                qci=record.qcis[stream - start],
-                payload=(("deficit", deficit), ("debit", debit)),
-            )
+            address, qci = record.address, record.qcis[stream - start]
+            events.append((EventKind.INSUFFICIENT_THROUGHPUT, address, qci, (deficit, debit)))
             if not record.breached_this_period:
                 record.breached_this_period = True
                 record.consecutive_strikes += 1
                 if record.consecutive_strikes >= record.terms.strike_limit:
                     record.active = False
                     removed = True
-                    ledger.append_event(
-                        EventKind.SCP_REMOVED,
-                        record.address,
-                        payload=(("strikes", record.consecutive_strikes),),
-                    )
+                    strikes = (record.consecutive_strikes,)
+                    events.append((EventKind.SCP_REMOVED, record.address, None, strikes))
         if removed:
             self._rebuild_streams()
-        ledger._log("throughput_breach", contract=self.id, caller=caller, breaches=logged)
+        self.ledger.append_events(events)
+        self.ledger._log("throughput_breach", contract=self.id, caller=caller, breaches=logged)
 
     def _payout_for(self, record: ScpRecord) -> int:
         if record.terms.payment_mode == FLAT_RATE:
@@ -330,12 +323,9 @@ class SlaContract:
         for record in removed:
             record.breached_this_period = False
             record.kb = None
+        kind = EventKind.PERIODIC_PAYOUT
         self.ledger.append_events(
-            EventKind.PERIODIC_PAYOUT,
-            [
-                (record.address, None, (("payout", payout), ("period", period)))
-                for record, payout in payouts
-            ],
+            [(kind, record.address, None, (payout, period)) for record, payout in payouts]
         )
         self.ledger.advance_period()
         self.ledger._log("close_period", contract=self.id, caller=caller)
@@ -366,9 +356,7 @@ class SlaContract:
         for rec in paid:
             rec.credit = 0
         self.total_withdrawn += amount
-        self.ledger.append_event(
-            EventKind.WITHDRAWAL, caller, payload=(("amount", amount),)
-        )
+        self.ledger.append_event(EventKind.WITHDRAWAL, caller, None, amount)
         self.ledger._log("withdraw", contract=self.id, caller=caller)
         return amount
 
@@ -390,9 +378,7 @@ class SlaContract:
             recoverable = 0
         self.ledger.transfer(self.account, caller, recoverable)
         self.total_recovered += recoverable
-        self.ledger.append_event(
-            EventKind.ESCROW_RECOVERED, caller, payload=(("amount", recoverable),)
-        )
+        self.ledger.append_event(EventKind.ESCROW_RECOVERED, caller, None, recoverable)
         self.ledger._log("recover_escrow", contract=self.id, caller=caller)
         return recoverable
 

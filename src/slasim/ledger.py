@@ -2,9 +2,11 @@
 
 The ledger is the execution substrate for the SLA contract.  It keeps integer
 account balances (never negative, never fractional), an append-only stream of
-indexed events, and a monotone period counter.  It folds each full batch of
-events into its digest and drops it, as an Ethereum node commits to logs by
-hash and need not keep them; a caller that wants the records passes a sink.
+indexed events, and a monotone period counter.  Each event kind declares its
+value names once (``EVENT_FIELDS``), as a Solidity event declares its
+parameters, and each event enters the digest's running SHA-256 when its
+operation appends it, as an Ethereum node commits to logs by hash and need not
+keep them; a caller that wants the records passes a sink.
 
 The transactions are ``create_account`` and the contract's operations.  Each
 one is logged once, through ``Ledger._log``, as a single entry: its name as
@@ -12,7 +14,7 @@ one is logged once, through ``Ledger._log``, as a single entry: its name as
 same arguments.  The ledger counts every entry and writes each, as one JSON
 line, to the text file its caller passes; given none, it keeps no log, as a
 node that only re-executes a log to check it need not.  The primitives a
-transaction calls (``transfer``, ``append_event``, ``advance_period``) are
+transaction calls (``transfer``, ``append_events``, ``advance_period``) are
 not logged, just as calls made inside a smart-contract transaction are not.
 An exported log replays byte-for-byte, and the canonical state digest makes
 replay determinism checkable as plain string equality.
@@ -26,7 +28,7 @@ import hashlib
 import json
 import shutil
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, TextIO, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, TextIO, Tuple
 
 from .errors import DuplicateAddress, InsufficientFunds, UnknownAddress
 from .fileio import atomic_write
@@ -37,12 +39,6 @@ TXLOG_HEADER_KEYS = frozenset({"format", "version", "digest", "entries"})
 
 # One encoder for every log entry: ``json.dumps`` would build a new one per call
 _encode_entry = json.JSONEncoder(sort_keys=True).encode
-
-# Events the digest lets build up before it folds them in one encoder call, so
-# the rows and JSON text held at once stay small.  Rows are encoded as they are
-# (a tuple is a JSON array and EventKind a str), so a fold allocates only its
-# text; the hash does not depend on how many rows each fold takes.
-_FOLD_BATCH = 256
 
 
 class EventKind(str, Enum):
@@ -56,12 +52,34 @@ class EventKind(str, Enum):
     ESCROW_RECOVERED = "EscrowRecovered"
 
 
-class EventRecord(NamedTuple):
-    """One immutable, indexed log entry.  Payload is ordered (name, value) pairs.
+# The names of each kind's integer values, in the order an event carries them
+EVENT_FIELDS: Dict[EventKind, Tuple[str, ...]] = {
+    EventKind.PERIODIC_PAYOUT: ("payout", "period"),
+    EventKind.INSUFFICIENT_THROUGHPUT: ("deficit", "debit"),
+    EventKind.SCP_REGISTERED: (),
+    EventKind.SCP_REMOVED: ("strikes",),
+    EventKind.CONTRACT_DISABLED: (),
+    EventKind.WITHDRAWAL: ("amount",),
+    EventKind.DEPOSIT: ("amount",),
+    EventKind.ESCROW_RECOVERED: ("amount",),
+}
 
-    Its fields are the row the state digest folds (``Ledger._events_sha256``),
-    the JSON array ``[index, period, kind, subject, qci, [[name, value], ...]]``.
-    The ledger keeps rows as plain tuples and builds a record only for a sink.
+
+# Each kind's digest row, the compact JSON ``[index,period,"Kind",subject,qci,
+# [["name",value],...]],``, as a ``%`` template: the index, period and values
+# as ``%d``, the subject and qci as the ``%s`` of their JSON text
+_ROW_TEMPLATES = {
+    kind: f"[%d,%d,{json.dumps(kind.value)},%s,%s,["
+    + ",".join(f"[{json.dumps(name)},%d]" for name in names)
+    + "]],"
+    for kind, names in EVENT_FIELDS.items()
+}
+
+
+class EventRecord(NamedTuple):
+    """One immutable, indexed event; ``values`` are its kind's ``EVENT_FIELDS``.
+
+    The ledger builds a record only for a sink.
     """
 
     index: int
@@ -69,18 +87,17 @@ class EventRecord(NamedTuple):
     kind: EventKind
     subject: str
     qci: Optional[int] = None
-    payload: Tuple[Tuple[str, int], ...] = ()
+    values: Tuple[int, ...] = ()
+
+    @property
+    def payload(self) -> Tuple[Tuple[str, int], ...]:  # (name, value) pairs
+        return tuple(zip(EVENT_FIELDS[self.kind], self.values))
 
     def payload_value(self, name: str) -> int:
-        for key, value in self.payload:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.payload)[name]
 
 
 EventSink = Callable[[EventRecord], None]  # handed each event as it is appended
-# one event of an ``append_events`` batch: (subject, qci, payload)
-EventItem = Tuple[str, Optional[int], Tuple[Tuple[str, int], ...]]
 
 
 def _check_amount(amount: int) -> None:
@@ -94,7 +111,7 @@ class Ledger:
     ``txlog``, if given, is a text file that each logged entry is written to
     as one JSON line; without it the ledger counts its entries but keeps none.
     ``events``, if given, is a sink handed each event as it is appended; the
-    ledger keeps only the rows its digest has not folded (< ``_FOLD_BATCH``).
+    ledger keeps no event, only the running SHA-256 of their rows.
     """
 
     def __init__(
@@ -102,7 +119,7 @@ class Ledger:
     ) -> None:
         self.balances: Dict[str, int] = {}
         self.num_events = 0
-        self._events: List[tuple] = []  # the rows the digest has not folded
+        self._subject_json: Dict[str, str] = {}  # each event subject's JSON text
         self._sink = events
         self.current_period: int = 0
         self.txlog = txlog
@@ -110,7 +127,7 @@ class Ledger:
         # contracts attach themselves so the digest covers their state too
         self.contracts: Dict[str, object] = {}
         self._anon_counter = 0
-        # running SHA-256 over every event before the tail
+        # running SHA-256 over every event's digest row
         self._events_hash = hashlib.sha256()
 
     # --- accounts ---------------------------------------------------------
@@ -158,34 +175,34 @@ class Ledger:
     # --- events -----------------------------------------------------------
 
     def append_event(
-        self,
-        kind: EventKind,
-        subject: str,
-        qci: Optional[int] = None,
-        payload: Tuple[Tuple[str, int], ...] = (),
+        self, kind: EventKind, subject: str, qci: Optional[int] = None, *values: int
     ) -> int:
-        return self.append_events(kind, [(subject, qci, tuple(payload))])
+        return self.append_events([(kind, subject, qci, values)])
 
-    def append_events(self, kind: EventKind, items: Iterable[EventItem]) -> int:
-        """Append one ``kind`` event per ``(subject, qci, payload)`` item, in order.
+    def append_events(
+        self, events: Iterable[Tuple[EventKind, str, Optional[int], Tuple[int, ...]]]
+    ) -> int:
+        """Append one operation's ``(kind, subject, qci, values)`` events, in order.
 
-        Returns the index of the first.  Each event is held as its plain digest
-        row; a sink, if any, is handed it as an ``EventRecord``.  Once the rows
-        not yet folded reach ``_FOLD_BATCH``, all of them are folded.
+        Returns the index of the first.  Each row is its kind's template filled
+        in (the values must be ints: ``%d`` prints a bool or a float unlike
+        JSON), and the rows enter the running SHA-256 together; a sink, if
+        any, is handed each event as an ``EventRecord``.
         """
-        first = self.num_events
-        period = self.current_period
-        rows = [
-            (index, period, kind, subject, qci, payload)
-            for index, (subject, qci, payload) in enumerate(items, first)
-        ]
-        self.num_events = first + len(rows)
-        if self._sink is not None:
-            for row in rows:
-                self._sink(EventRecord._make(row))
-        self._events += rows
-        if len(self._events) >= _FOLD_BATCH:
-            self._events_sha256()
+        first = index = self.num_events
+        period, subject_json, sink = self.current_period, self._subject_json, self._sink
+        rows = []
+        for kind, subject, qci, values in events:
+            text = subject_json.get(subject)
+            if text is None:
+                text = subject_json[subject] = json.dumps(subject)
+            qci_json = "null" if qci is None else qci
+            rows.append(_ROW_TEMPLATES[kind] % (index, period, text, qci_json, *values))
+            if sink is not None:
+                sink(EventRecord(index, period, kind, subject, qci, values))
+            index += 1
+        self.num_events = index
+        self._events_hash.update("".join(rows).encode())
         return first
 
     # --- period clock -----------------------------------------------------
@@ -211,30 +228,18 @@ class Ledger:
             raise DuplicateAddress(f"contract id {contract.id!r} already attached")
         self.contracts[contract.id] = contract
 
-    def _events_sha256(self) -> str:
-        """Fold the unfolded rows, if any, into the running SHA-256 and drop them.
-
-        Each event enters as the compact JSON array
-        ``[index, period, kind, subject, qci, [[name, value], ...]]`` followed
-        by a comma, so the hash is the same however many reads split the log.
-        """
-        events = self._events
-        if events:
-            blob = json.dumps(events, separators=(",", ":"))[1:-1] + ","
-            self._events_hash.update(blob.encode("utf-8"))
-            events.clear()
-        return self._events_hash.hexdigest()
-
     def canonical_state(self) -> dict:
         """Deterministic, fully sorted representation of the whole world state.
 
         Events are represented by their count and running SHA-256 rather than
-        listed, so taking a digest does not re-encode the whole log.
+        listed: each event enters the hash as its compact JSON row
+        ``[index,period,"Kind",subject,qci,[["name",value],...]]`` followed by
+        a comma, when its operation appends it.
         """
         return {
             "accounts": {addr: self.balances[addr] for addr in sorted(self.balances)},
             "period": self.current_period,
-            "events": {"count": self.num_events, "sha256": self._events_sha256()},
+            "events": {"count": self.num_events, "sha256": self._events_hash.hexdigest()},
             "contracts": {
                 cid: self.contracts[cid].canonical_state()
                 for cid in sorted(self.contracts)

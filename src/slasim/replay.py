@@ -21,6 +21,8 @@ from .contract import SlaContract
 from .errors import DigestMismatch, MalformedLog, SimError
 from .ledger import TXLOG_FORMAT, TXLOG_HEADER_KEYS, TXLOG_VERSION, Ledger
 
+_raw_decode = json.JSONDecoder().raw_decode
+
 # SlaContract methods a log entry may name.  Each is looked up on the contract
 # when its entry is replayed, not bound here, so a wrapper installed on the
 # class at run time (as perfbench/tracer.py does) is the method called.
@@ -66,8 +68,13 @@ def _read_log(path) -> Iterator[dict]:
                 )
             yield header
             for line in fh:
-                if line.strip():
-                    yield json.loads(line)
+                try:  # the C scanner alone, for a line that is one value and its newline
+                    entry, end = _raw_decode(line)
+                    whole = line[end:] in ("\n", "")
+                except json.JSONDecodeError:
+                    whole = False
+                if whole or line.strip():  # any other line takes json.loads's verdict
+                    yield entry if whole else json.loads(line)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedLog(f"invalid JSON in transaction log: {exc}") from exc
     except OSError as exc:
@@ -92,9 +99,9 @@ def replay_entries(entries: Iterable[dict]) -> Ledger:
     method it names with its remaining fields as keyword arguments.  The
     entries are consumed: ``op`` and ``contract`` are popped from each, and
     ``terms`` is replaced by the terms it decodes to.  The returned ledger
-    holds the rebuilt state and, as every ledger does, fewer than 256 events;
-    it was given no log file, so it counts its entries in ``num_entries`` but
-    keeps none.
+    holds the rebuilt state and, as every ledger does, no events; it was
+    given no log file, so it counts its entries in ``num_entries`` but keeps
+    none.
     """
     ledger = Ledger()
     contracts: Dict[str, SlaContract] = {}

@@ -96,7 +96,7 @@ class RowFold:
         kind, scp = event.kind, event.subject
         row, strikes, breached = self._rows.get(scp), self._strikes, self._breached
         if kind is EventKind.PERIODIC_PAYOUT:
-            payout = event.payload_value("payout")
+            payout = event.values[0]  # (payout, period)
             row.earned += payout
             row.final_credit += payout
             if scp in breached:
@@ -105,14 +105,14 @@ class RowFold:
                 strikes[scp] = 0
             row.strikes_timeline.append(strikes[scp])
         elif kind is EventKind.INSUFFICIENT_THROUGHPUT:
-            debit = event.payload_value("debit")
+            debit = event.values[1]  # (deficit, debit)
             row.penalized += debit
             row.final_credit -= debit
             if scp not in breached:
                 breached.add(scp)
                 strikes[scp] += 1
         elif kind is EventKind.WITHDRAWAL:
-            amount = event.payload_value("amount") - self._archived.pop(scp, 0)
+            amount = event.values[0] - self._archived.pop(scp, 0)  # (amount,)
             row.withdrawn += amount
             row.final_credit -= amount
         elif kind is EventKind.SCP_REMOVED:

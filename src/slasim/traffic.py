@@ -97,8 +97,9 @@ def agreed_levels(
 def detect_breaches(kb: Sequence[int], agreed: Sequence[int]) -> List[Tuple[int, int]]:
     """``(stream, deficit)`` for every stream whose measured kb < agreed level.
 
-    ``kb`` and ``agreed`` (see ``agreed_levels``) hold one value per stream of
-    a trace, and ``stream`` is its index there, ascending.  Strict
+    ``kb`` and ``agreed`` (see ``agreed_levels``) hold one value per stream,
+    and ``stream`` is its index there, ascending; ``drive`` passes the active
+    streams, so the pairs index the contract's stream order.  Strict
     inequality: meeting the agreed average exactly is not a breach.
     """
     return [
@@ -130,26 +131,26 @@ def drive(
     terms_by_label = {scp.label: scp.terms for scp in config.scps}
     agreed = agreed_levels(trace.streams, terms_by_label)
     registry = contract.registry
-    # trace column -> contract stream index of each active stream, once a
-    # removal leaves some out; until then a trace stream is its own contract
-    # stream and a period's values are the contract's vector as they are
-    position: Optional[Dict[int, int]] = None
+    # the trace columns of the active streams, once a removal leaves some out,
+    # and their agreed levels; until then every trace stream is active and
+    # its own contract stream, so a period's values are the contract's vector
+    columns: Optional[List[int]] = None
+    levels = agreed
 
     for period in range(config.num_periods):
         kb = trace.periods[period]
-        active_kb = kb if position is None else [kb[i] for i in position]
-        if active_kb:
-            contract.record_traffic(owner, active_kb)
-        breaches = detect_breaches(kb, agreed)
-        if position is not None:
-            breaches = [(position[i], deficit) for i, deficit in breaches if i in position]
+        if columns is not None:
+            kb = [kb[i] for i in columns]
+        if kb:
+            contract.record_traffic(owner, kb)
+        breaches = detect_breaches(kb, levels)
         if breaches:
             contract.throughput_breach(owner, breaches)
-            if contract.num_streams != len(active_kb):
+            if contract.num_streams != len(kb):
                 columns = [
                     i for i, (name, _) in enumerate(trace.streams) if registry[name].active
                 ]
-                position = {i: j for j, i in enumerate(columns)}
+                levels = [agreed[i] for i in columns]
         contract.close_period(owner)
 
     for label in sorted(terms_by_label):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slasim import EventKind, EventRecord, Ledger
+from slasim import EventKind, EventRecord, Ledger, SlaContract, replay, verify
 from slasim.errors import DuplicateAddress, InsufficientFunds, UnknownAddress
-from slasim.ledger import _FOLD_BATCH
+from slasim.ledger import EVENT_FIELDS
 
 
 class TestAccounts:
@@ -86,33 +86,53 @@ class TestTransfer:
 
 class TestEvents:
     def test_first_index_is_zero(self, ledger):
-        assert ledger.append_event(EventKind.DEPOSIT, "a") == 0
+        assert ledger.append_event(EventKind.DEPOSIT, "a", None, 5) == 0
 
     def test_indices_contiguous(self, ledger):
-        indices = [ledger.append_event(EventKind.DEPOSIT, "a") for _ in range(3)]
+        indices = [ledger.append_event(EventKind.DEPOSIT, "a", None, 5) for _ in range(3)]
         assert indices == [0, 1, 2]
 
     def test_readback(self, ledger, events):
-        ledger.append_event(
-            EventKind.INSUFFICIENT_THROUGHPUT, "scp", qci=5, payload=(("deficit", 7),)
-        )
+        ledger.append_event(EventKind.INSUFFICIENT_THROUGHPUT, "scp", 5, 7, 35)
         [record] = events
         assert record.kind is EventKind.INSUFFICIENT_THROUGHPUT
         assert record.subject == "scp"
         assert record.qci == 5
-        assert record.payload == (("deficit", 7),)
+        assert record.values == (7, 35)
+        assert record.payload == (("deficit", 7), ("debit", 35))
+        assert record.payload_value("debit") == 35
+        with pytest.raises(KeyError):
+            record.payload_value("amount")
 
     def test_no_filter_returns_everything_in_order(self, ledger, events):
         for i in range(4):
-            ledger.append_event(EventKind.DEPOSIT, f"a{i}")
+            ledger.append_event(EventKind.DEPOSIT, f"a{i}", None, i)
         assert [r.index for r in events] == [0, 1, 2, 3]
 
     def test_append_only_prefix(self, ledger, events):
-        ledger.append_event(EventKind.DEPOSIT, "a")
+        ledger.append_event(EventKind.DEPOSIT, "a", None, 1)
         earlier = list(events)
-        ledger.append_event(EventKind.DEPOSIT, "b")
+        ledger.append_event(EventKind.DEPOSIT, "b", None, 2)
         later = list(events)
         assert later[: len(earlier)] == earlier
+
+    def test_event_fields_cover_every_kind(self):
+        assert len(EVENT_FIELDS) == len(EventKind)
+        assert set(EVENT_FIELDS) == set(EventKind)
+        for names in EVENT_FIELDS.values():
+            assert len(set(names)) == len(names)
+            assert all(type(name) is str for name in names)
+
+    @pytest.mark.parametrize("values", [(), (1, 2, 3)], ids=["too-few", "too-many"])
+    def test_values_not_as_declared_are_rejected(self, values):
+        heard = []
+        ledger = Ledger(events=heard.append)
+        ledger.append_event(EventKind.DEPOSIT, "a", None, 1)
+        before = ledger.canonical_state()
+        with pytest.raises(TypeError):
+            ledger.append_event(EventKind.INSUFFICIENT_THROUGHPUT, "a", 1, *values)
+        assert ledger.canonical_state() == before
+        assert len(heard) == 1
 
 
 class TestPeriodClock:
@@ -126,7 +146,7 @@ class TestPeriodClock:
 
     def test_events_carry_new_period(self, ledger, events):
         ledger.advance_period()
-        ledger.append_event(EventKind.DEPOSIT, "a")
+        ledger.append_event(EventKind.DEPOSIT, "a", None, 1)
         assert events[0].period == 1
 
 
@@ -141,7 +161,7 @@ class TestDigest:
             b = ledger.create_account(0, "b")
             ledger.transfer(a, b, 30)
             ledger.advance_period()
-            ledger.append_event(EventKind.DEPOSIT, a, payload=(("amount", 30),))
+            ledger.append_event(EventKind.DEPOSIT, a, None, 30)
             return ledger.state_digest()
 
         assert build() == build()
@@ -161,10 +181,10 @@ def event_history(ledger, probe=lambda: None):
     """Append events over a few periods, calling ``probe`` between steps."""
     ledger.create_account(100, "a")
     for period in range(4):
-        ledger.append_event(EventKind.DEPOSIT, "a", payload=(("amount", period),))
+        ledger.append_event(EventKind.DEPOSIT, "a", None, period)
         probe()
-        ledger.append_event(EventKind.INSUFFICIENT_THROUGHPUT, "scp", qci=5)
-        ledger.append_event(EventKind.PERIODIC_PAYOUT, "scp", qci=1, payload=(("amount", 7),))
+        ledger.append_event(EventKind.INSUFFICIENT_THROUGHPUT, "scp", 5, 3, 1)
+        ledger.append_event(EventKind.PERIODIC_PAYOUT, "scp", 1, 7, period)
         if period % 2:
             probe()
         ledger.advance_period()
@@ -180,7 +200,7 @@ class TestRollingEventDigest:
         event_history(once)
         for ledger in (probed, once):  # a tail longer than one fold batch
             for amount in range(600):
-                ledger.append_event(EventKind.WITHDRAWAL, "a", payload=(("amount", amount),))
+                ledger.append_event(EventKind.WITHDRAWAL, "a", None, amount)
         assert len(set(seen)) == len(seen)  # every probe saw a different history
         assert probed.state_digest() == once.state_digest()
 
@@ -192,21 +212,20 @@ class TestRollingEventDigest:
             {"kind": EventKind.WITHDRAWAL},
             {"subject": "b"},
             {"qci": 2},
-            {"payload": (("amount", 8),)},
+            {"values": (8,)},
         ],
         ids=["index", "period", "kind", "subject", "qci", "payload-value"],
     )
     def test_each_event_field_is_covered(self, change):
         """Two ledgers whose one event differs in one field fold different digests."""
 
-        def folded(index=0, period=0, kind=EventKind.DEPOSIT, subject="a", qci=1,
-                   payload=(("amount", 7),)):
+        def folded(index=0, period=0, kind=EventKind.DEPOSIT, subject="a", qci=1, values=(7,)):
             heard = []
             ledger = Ledger(events=heard.append)
             ledger.append_event(EventKind.SCP_REGISTERED, "a")  # so the event's index is 1
             if period:
                 ledger.advance_period()
-            ledger.append_event(kind, subject, qci=qci, payload=payload)
+            ledger.append_event(kind, subject, qci, *values)
             if not period:
                 ledger.advance_period()  # either way the clock ends in period 1
             if index:
@@ -228,10 +247,11 @@ class TestRollingEventDigest:
 
 
 def joined_rows(events):
-    """The documented digest rows, ``[index,period,"Kind",subject,qci,payload],`` each."""
+    """The documented digest rows, ``[index,period,"Kind",subject,qci,[[name,value],...]],`` each."""
     return "".join(
         json.dumps(
-            [e.index, e.period, e.kind.value, e.subject, e.qci, e.payload],
+            [e.index, e.period, e.kind.value, e.subject, e.qci,
+             [[name, value] for name, value in zip(EVENT_FIELDS[e.kind], e.values)]],
             separators=(",", ":"),
         )
         + ","
@@ -245,60 +265,87 @@ def documented_events_state(events):
     return {"count": len(events), "sha256": sha256}
 
 
+class RowHash:
+    """The documented SHA-256 of a growing list of events, updated with the new ones."""
+
+    def __init__(self) -> None:
+        self.sha256 = hashlib.sha256()
+        self.count = 0
+
+    def assert_covers(self, ledger, events):
+        """``ledger``'s running SHA-256, read without taking a digest, already
+        covers every event of ``events``: the ledger holds no unhashed row."""
+        self.sha256.update(joined_rows(events[self.count:]).encode("utf-8"))
+        self.count = len(events)
+        assert ledger.num_events == self.count
+        assert ledger._events_hash.hexdigest() == self.sha256.hexdigest()
+
+
 def settlement_events(ledger, count, probe):
     """Append ``count`` events the report fold reads, three to a period, and
-    call ``probe`` after events 100 and 300, in the middle of a fold batch."""
+    call ``probe`` after events 100 and 300."""
     for i in range(count):
         if i == 0:
             ledger.append_event(EventKind.SCP_REGISTERED, "scp")
         elif i % 3 == 1:
-            ledger.append_event(EventKind.PERIODIC_PAYOUT, "scp", payload=(("payout", i),))
+            ledger.append_event(EventKind.PERIODIC_PAYOUT, "scp", None, i, ledger.current_period)
         elif i % 3 == 2:
-            debit = (("deficit", 2), ("debit", 1))
-            ledger.append_event(EventKind.INSUFFICIENT_THROUGHPUT, "scp", qci=1, payload=debit)
+            ledger.append_event(EventKind.INSUFFICIENT_THROUGHPUT, "scp", 1, 2, 1)
         else:
             ledger.advance_period()
-            ledger.append_event(EventKind.WITHDRAWAL, "scp", payload=(("amount", 1),))
+            ledger.append_event(EventKind.WITHDRAWAL, "scp", None, 1)
         if i in (100, 300):
             probe()
 
 
-def assert_keeps_only_the_unfolded_tail(ledger):
-    indices = [ledger.append_event(EventKind.DEPOSIT, "a") for _ in range(3 * _FOLD_BATCH)]
-    assert indices == list(range(3 * _FOLD_BATCH))
-    assert ledger._events == []  # every full batch was folded and dropped
-    ledger.append_event(EventKind.DEPOSIT, "a")
-    assert len(ledger._events) == 1
-    ledger.state_digest()
-    assert ledger._events == []
+def assert_holds_no_unhashed_event(ledger):
+    """After each append, the running SHA-256 covers every event so far."""
+    rows, appended = RowHash(), []
+    for amount in range(600):
+        index = ledger.append_event(EventKind.DEPOSIT, "a", None, amount)
+        appended.append(EventRecord(index, 0, EventKind.DEPOSIT, "a", None, (amount,)))
+        rows.assert_covers(ledger, appended)
+    assert [event.index for event in appended] == list(range(600))
+
+
+# Values the contract never makes (it makes non-negative ints below 2**64),
+# but which the row templates must print as JSON does
+ANY_INT = st.one_of(
+    st.integers(), st.integers(min_value=2**64), st.integers(max_value=-(2**64))
+)
+ANY_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),  # surrogates included
+        st.sampled_from('"\\/\x00\x1f\x7f\u2028\U0001f600'),
+    )
+)
 
 
 class TestAppendEvents:
     @pytest.mark.parametrize("before", [0, 200, 255])
     @pytest.mark.parametrize("size", [0, 1, 56, 300, 600])
     def test_batch_equals_one_append_event_per_item(self, before, size):
-        """Same indices, sink records and digest, and fewer than ``_FOLD_BATCH``
-        events held after every call, also for batches that cross a fold."""
-        items = [(f"scp-{i % 7}", i % 3 or None, (("payout", i), ("period", 1)))
-                 for i in range(size)]
+        """Same indices, sink records and digest, and no unhashed event held
+        after any call."""
+        events = [(EventKind.PERIODIC_PAYOUT, f"scp-{i % 7}", i % 3 or None, (i, 1))
+                  for i in range(size)]
         heard = {"batched": [], "single": []}
         ledgers = {name: Ledger(events=sink.append) for name, sink in heard.items()}
         indices = {}
         for name, ledger in ledgers.items():
+            rows = RowHash()
             for amount in range(before):
-                ledger.append_event(EventKind.DEPOSIT, "a", payload=(("amount", amount),))
-                assert len(ledger._events) < _FOLD_BATCH
+                ledger.append_event(EventKind.DEPOSIT, "a", None, amount)
+                rows.assert_covers(ledger, heard[name])
             ledger.advance_period()
             if name == "batched":
-                indices[name] = ledger.append_events(EventKind.PERIODIC_PAYOUT, items)
-                assert len(ledger._events) < _FOLD_BATCH
+                indices[name] = ledger.append_events(events)
+                rows.assert_covers(ledger, heard[name])
             else:
                 indices[name] = []
-                for subject, qci, payload in items:
-                    indices[name].append(
-                        ledger.append_event(EventKind.PERIODIC_PAYOUT, subject, qci, payload)
-                    )
-                    assert len(ledger._events) < _FOLD_BATCH
+                for kind, subject, qci, values in events:
+                    indices[name].append(ledger.append_event(kind, subject, qci, *values))
+                    rows.assert_covers(ledger, heard[name])
         assert indices["batched"] == before == ledgers["batched"].num_events - size
         assert indices["single"] == list(range(before, before + size))
         assert heard["batched"] == heard["single"]
@@ -307,6 +354,69 @@ class TestAppendEvents:
         assert batched.canonical_state() == single.canonical_state()
         assert batched.canonical_state()["events"] == documented_events_state(heard["batched"])
         assert batched.state_digest() == single.state_digest()
+
+    @pytest.mark.parametrize("kind", list(EventKind), ids=lambda kind: kind.value)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                ANY_TEXT,
+                st.none() | ANY_INT,
+                st.lists(ANY_INT, min_size=2, max_size=2),
+                st.integers(min_value=0, max_value=2),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_row_template_prints_the_json_row(self, kind, events):
+        """Each kind's template prints the documented JSON row, for any
+        subject text, qci and int values, in one call or one at a time."""
+        arity = len(EVENT_FIELDS[kind])
+        heard = {"batched": [], "single": []}
+        for name, sink in heard.items():
+            ledger = Ledger(events=sink.append)
+            batch = []
+            for subject, qci, values, advance in events:
+                for _ in range(advance):
+                    ledger.advance_period()
+                if name == "single":
+                    ledger.append_event(kind, subject, qci, *values[:arity])
+                else:
+                    batch.append((kind, subject, qci, tuple(values[:arity])))
+            if batch:
+                ledger.append_events(batch)
+            assert ledger.canonical_state()["events"] == documented_events_state(heard[name])
+        assert [e.subject for e in heard["single"]] == [subject for subject, *_ in events]
+
+
+class TestEveryOperationHashesItsEvents:
+    def test_fuzz_events_are_ints_and_hashed_by_their_operation(self, monkeypatch):
+        """Through a fuzz run of every contract operation, each operation's
+        events are in the running SHA-256 when it returns or raises, and
+        carry only int values."""
+        heard, ledgers, rows = [], [], RowHash()
+
+        def sink_ledger():
+            ledgers.append(Ledger(events=heard.append))
+            return ledgers[-1]
+
+        def checked(method):
+            def call(*args, **kwargs):
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    rows.assert_covers(ledgers[0], heard)
+            return call
+
+        monkeypatch.setattr(verify, "Ledger", sink_ledger)
+        for op in replay.CONTRACT_OPS:
+            monkeypatch.setattr(SlaContract, op, checked(getattr(SlaContract, op)))
+        assert verify.conservation_fuzz(2_000, seed=1234) is None
+        assert len(ledgers) == 1
+        assert {event.kind for event in heard} == set(EventKind)
+        assert all(type(v) is int for event in heard for v in event.values)
+        assert all(len(event.values) == len(EVENT_FIELDS[event.kind]) for event in heard)
 
 
 class TestEventSink:
@@ -330,8 +440,8 @@ class TestEventSink:
         assert [e.index for e in heard] == list(range(count))
         assert sinkless.canonical_state()["events"] == documented_events_state(heard)
 
-    def test_sink_ledger_keeps_only_the_unfolded_tail(self):
-        assert_keeps_only_the_unfolded_tail(Ledger(events=lambda event: None))
+    def test_sink_ledger_holds_no_unhashed_event(self):
+        assert_holds_no_unhashed_event(Ledger(events=lambda event: None))
 
-    def test_sinkless_ledger_keeps_only_the_unfolded_tail(self):
-        assert_keeps_only_the_unfolded_tail(Ledger())
+    def test_sinkless_ledger_holds_no_unhashed_event(self):
+        assert_holds_no_unhashed_event(Ledger())

@@ -15,7 +15,7 @@ from slasim import Ledger, SlaContract, replay
 from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_run
 from slasim.config import config_from_dict
 from slasim.errors import DigestMismatch, MalformedLog
-from slasim.ledger import _FOLD_BATCH, EventRecord
+from slasim.ledger import EventRecord
 from slasim.replay import load_txlog, replay_entries, replay_file
 from slasim.traffic import drive
 
@@ -213,7 +213,7 @@ def test_streamed_run_equals_in_memory_run(tmp_path):
     ledger, contract, fold = folded_run(config, io.StringIO())
     report = drive(ledger, contract, config, fold)
     assert report.rows["scp-1"].removal_period is not None
-    assert report.num_events > 4 * _FOLD_BATCH
+    assert report.num_events > 1000
     in_memory = tmp_path / "in_memory"
     in_memory.mkdir()
     report.write_json(in_memory / "report.json")
@@ -221,8 +221,8 @@ def test_streamed_run_equals_in_memory_run(tmp_path):
     ledger.export_txlog(in_memory / "txlog.jsonl", digest=report.digest)
     for name in ("report.json", "report.csv", "txlog.jsonl"):
         assert (tmp_path / "streamed" / name).read_bytes() == (in_memory / name).read_bytes()
-    # replay keeps no more than the rows its digest has not folded, and
-    # builds no EventRecord, since it passes no sink
+    # replay builds no EventRecord, since it passes no sink, and its running
+    # SHA-256 covers every event when the last operation returns
     del ledger, contract, report
     gc.collect()
     before = sum(isinstance(o, EventRecord) for o in gc.get_objects())
@@ -230,8 +230,8 @@ def test_streamed_run_equals_in_memory_run(tmp_path):
     replayed = replay_entries(entries)
     gc.collect()
     held = sum(isinstance(o, EventRecord) for o in gc.get_objects()) - before
-    assert replayed.num_events > 1000
-    assert len(replayed._events) < _FOLD_BATCH
+    assert replayed.num_events == len(fold.events) > 1000
+    assert replayed._events_hash.hexdigest() == documented_events_state(fold.events)["sha256"]
     assert held == 0
 
 
@@ -528,6 +528,54 @@ def test_garbage_file_rejected(tmp_path):
     path.write_text("not json at all\n")
     with pytest.raises(MalformedLog):
         replay_file(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda line: "  " + line + " \t ",
+        lambda line: line + "\n\n   ",  # blank lines after the entry
+    ],
+    ids=["spaces", "blank-lines"],
+)
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_entry_line_with_whitespace_replays(tmp_path, edit, final_newline):
+    ledger = busy_world()
+    path = tmp_path / "log.jsonl"
+    ledger.export_txlog(path)
+    lines = path.read_text().splitlines()
+    for i in (1, len(lines) // 2, len(lines) - 1):
+        lines[i] = edit(lines[i])
+    path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
+    digest, expected = replay_file(path)
+    assert digest == expected == ledger.state_digest()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda line: line + " x",
+        lambda line: line + "{}",
+        lambda line: "\ufeff" + line,
+        lambda line: line[:-1],
+        lambda line: line[: len(line) // 2],
+    ],
+    ids=["trailing-garbage", "second-object", "bom", "no-closing-brace", "truncated"],
+)
+@pytest.mark.parametrize("last", [False, True], ids=["middle", "last-unterminated"])
+def test_bad_entry_line_gives_the_json_loads_message(tmp_path, edit, last):
+    """The message names what ``json.loads`` finds wrong with the line."""
+    path = tmp_path / "log.jsonl"
+    busy_world().export_txlog(path)
+    lines = path.read_text().splitlines()
+    bad = len(lines) - 1 if last else 2
+    lines[bad] = edit(lines[bad])
+    path.write_text("\n".join(lines) + ("" if last else "\n"))
+    with pytest.raises(json.JSONDecodeError) as loads_error:
+        json.loads(lines[bad] + ("" if last else "\n"))
+    with pytest.raises(MalformedLog) as excinfo:
+        replay_file(path)
+    assert str(excinfo.value) == f"invalid JSON in transaction log: {loads_error.value}"
 
 
 def test_invalid_json_on_last_line_is_reported_when_reached(tmp_path):
