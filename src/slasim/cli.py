@@ -98,7 +98,7 @@ def cmd_run(config_path: str, out_dir: str, seed: Optional[int] = None) -> int:
 
 def cmd_replay(log_path: str) -> int:
     try:
-        digest, _ = replay_file(log_path)
+        digest = replay_file(log_path)
     except MalformedLog as exc:
         _diag(f"malformed log: {exc}")
         return EXIT_INVALID

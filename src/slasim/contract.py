@@ -294,39 +294,30 @@ class SlaContract:
         """
         self._require_owner(caller)
         self._require_enabled()
-        # one pass in address order: the payouts to active providers, the
-        # removed providers (their period flags are cleared too) and the
-        # positive credit owed once the payouts accrue
-        payouts: List[Tuple[ScpRecord, int]] = []
-        removed: List[ScpRecord] = []
+        # one pass in address order: each record's payout, 0 for a removed
+        # one, and the positive credit owed once the payouts accrue
+        settled: List[Tuple[ScpRecord, int]] = []
         owed = sum(max(rec.credit, 0) for rec in self.archived)
         for record in self.registry.values():
-            if record.active:
-                payout = self._payout_for(record)
-                payouts.append((record, payout))
-                owed += max(record.credit + payout, 0)
-            else:
-                removed.append(record)
-                owed += max(record.credit, 0)
+            payout = self._payout_for(record) if record.active else 0
+            settled.append((record, payout))
+            owed += max(record.credit + payout, 0)
         if self.escrow < owed:
             raise InsufficientEscrowForAccrual(
                 f"escrow {self.escrow} cannot cover accrued credits {owed} "
                 f"in period {self.ledger.current_period}"
             )
-        period = self.ledger.current_period
-        for record, payout in payouts:
-            record.credit += payout
-            if not record.breached_this_period:
-                record.consecutive_strikes = 0
+        period, kind = self.ledger.current_period, EventKind.PERIODIC_PAYOUT
+        events = []
+        for record, payout in settled:
+            if record.active:
+                record.credit += payout
+                if not record.breached_this_period:
+                    record.consecutive_strikes = 0
+                events.append((kind, record.address, None, (payout, period)))
             record.breached_this_period = False
             record.kb = None
-        for record in removed:
-            record.breached_this_period = False
-            record.kb = None
-        kind = EventKind.PERIODIC_PAYOUT
-        self.ledger.append_events(
-            [(kind, record.address, None, (payout, period)) for record, payout in payouts]
-        )
+        self.ledger.append_events(events)
         self.ledger.advance_period()
         self.ledger._log("close_period", contract=self.id, caller=caller)
 

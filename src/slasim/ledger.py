@@ -77,7 +77,7 @@ _ROW_TEMPLATES = {
 
 
 class EventRecord(NamedTuple):
-    """One immutable, indexed event; ``values`` are its kind's ``EVENT_FIELDS``.
+    """One immutable, indexed event: ``values[i]`` is ``EVENT_FIELDS[kind][i]``.
 
     The ledger builds a record only for a sink.
     """
@@ -88,13 +88,6 @@ class EventRecord(NamedTuple):
     subject: str
     qci: Optional[int] = None
     values: Tuple[int, ...] = ()
-
-    @property
-    def payload(self) -> Tuple[Tuple[str, int], ...]:  # (name, value) pairs
-        return tuple(zip(EVENT_FIELDS[self.kind], self.values))
-
-    def payload_value(self, name: str) -> int:
-        return dict(self.payload)[name]
 
 
 EventSink = Callable[[EventRecord], None]  # handed each event as it is appended

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from contextlib import closing
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from .config import SlaTerms, read
 from .contract import SlaContract
@@ -95,32 +95,30 @@ def load_txlog(path) -> Tuple[dict, Iterator[dict]]:
 def replay_entries(entries: Iterable[dict]) -> Ledger:
     """Apply logged transactions, in order, to a fresh ledger.
 
-    ``create_contract`` constructs a contract; every other entry calls the
-    method it names with its remaining fields as keyword arguments.  The
-    entries are consumed: ``op`` and ``contract`` are popped from each, and
-    ``terms`` is replaced by the terms it decodes to.  The returned ledger
-    holds the rebuilt state and, as every ledger does, no events; it was
-    given no log file, so it counts its entries in ``num_entries`` but keeps
-    none.
+    ``create_contract`` constructs a contract, which attaches itself to
+    ``ledger.contracts``; every other entry calls the method it names with its
+    remaining fields as keyword arguments.  The entries are consumed: ``op``
+    and ``contract`` are popped from each, and ``terms`` is replaced by the
+    terms it decodes to.  The returned ledger holds the rebuilt state and, as
+    every ledger does, no events; it was given no log file, so it counts its
+    entries in ``num_entries`` but keeps none.
     """
     ledger = Ledger()
-    contracts: Dict[str, SlaContract] = {}
     for pos, fields in enumerate(entries):
         if not isinstance(fields, dict) or "op" not in fields:
             raise MalformedLog(f"entry {pos}: not an operation object")
         op = fields.pop("op")
         try:
             if op == "create_contract":
-                contract = SlaContract(ledger, contract_id=fields.pop("contract"), **fields)
-                contracts[contract.id] = contract
+                SlaContract(ledger, contract_id=fields.pop("contract"), **fields)
                 continue
             if op == "create_account":
                 target = ledger
             elif op in CONTRACT_OPS:
                 cid = fields.pop("contract", None)
-                if cid not in contracts:
+                target = ledger.contracts.get(cid)
+                if target is None:
                     raise MalformedLog(f"operation references unknown contract {cid!r}")
-                target = contracts[cid]
             else:
                 raise MalformedLog(f"entry {pos}: unknown operation {op!r}")
             if "terms" in fields:
@@ -135,14 +133,14 @@ def replay_entries(entries: Iterable[dict]) -> Ledger:
     return ledger
 
 
-def replay_file(path) -> Tuple[str, str]:
-    """Replay a log file; returns (recomputed digest, digest from header).
+def replay_file(path) -> str:
+    """Replay a log file; returns the recomputed digest, which equals the header's.
 
     Entries are replayed as they are read, so none is held.  Each replayed
     entry is one logged operation, so the ledger's ``num_entries`` is the
-    number replayed.  Raises DigestMismatch when the two digests differ, then
-    MalformedLog when the header's entry count differs from the entries
-    replayed.
+    number replayed.  Raises DigestMismatch when the recomputed digest
+    differs from the header's, then MalformedLog when the header's entry
+    count differs from the entries replayed.
     """
     header, entries = load_txlog(path)
     with closing(entries):  # closes the file if replay stops partway
@@ -158,4 +156,4 @@ def replay_file(path) -> Tuple[str, str]:
         raise MalformedLog(
             f"header counts {header.get('entries')!r} entries, the log holds {replayed}"
         )
-    return digest, expected
+    return digest

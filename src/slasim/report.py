@@ -55,7 +55,9 @@ def _write_timeline(fh, timeline: List[int]) -> None:
 
 @dataclass
 class ScpRow:
-    label: str
+    """One provider's settlement row; its fields are ``CSV_COLUMNS``, in order."""
+
+    scp: str
     earned: int = 0
     penalized: int = 0
     withdrawn: int = 0
@@ -64,15 +66,7 @@ class ScpRow:
     removal_period: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "scp": self.label,
-            "earned": self.earned,
-            "penalized": self.penalized,
-            "withdrawn": self.withdrawn,
-            "final_credit": self.final_credit,
-            "strikes_timeline": list(self.strikes_timeline),
-            "removal_period": self.removal_period,
-        }
+        return {column: getattr(self, column) for column in CSV_COLUMNS}
 
 
 class RowFold:
@@ -120,7 +114,7 @@ class RowFold:
         elif kind is EventKind.SCP_REGISTERED:
             if row is not None and row.final_credit > 0:
                 self._archived[scp] = self._archived.get(scp, 0) + row.final_credit
-            self._rows[scp] = ScpRow(label=scp)
+            self._rows[scp] = ScpRow(scp=scp)
             strikes[scp] = 0
             breached.discard(scp)
 

@@ -181,6 +181,12 @@ def test_report_json_is_the_indented_encoding(tmp_path):
     assert (tmp_path / REPORT_JSON).read_bytes() == expected.encode("utf-8")
 
 
+def test_row_dict_has_the_csv_columns():
+    row = report.ScpRow("scp-1", 5, 2, 1, 2, [0, 1], 3)
+    assert list(row.to_dict()) == report.CSV_COLUMNS
+    assert list(row.to_dict().values()) == ["scp-1", 5, 2, 1, 2, [0, 1], 3]
+
+
 def _disk_full():
     return OSError(errno.ENOSPC, "No space left on device")
 

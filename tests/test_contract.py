@@ -25,6 +25,7 @@ from slasim.errors import (
     UnknownScp,
     ZeroDeficit,
 )
+from slasim.ledger import EVENT_FIELDS
 from slasim.replay import replay_entries
 from slasim.verify import registry_matches_events, strike_oracle_removal_period
 
@@ -349,7 +350,7 @@ class TestClosePeriod:
         ledger, contract, owner, scp = world
         contract.close_period(owner)
         [event] = [e for e in events if e.kind is EventKind.PERIODIC_PAYOUT]
-        assert event.payload_value("payout") == 0
+        assert event.values[EVENT_FIELDS[event.kind].index("payout")] == 0
         assert status(contract, scp) == (True, 0, 0)
 
     def test_per_traffic_payout(self, world):

@@ -99,10 +99,9 @@ class TestEvents:
         assert record.subject == "scp"
         assert record.qci == 5
         assert record.values == (7, 35)
-        assert record.payload == (("deficit", 7), ("debit", 35))
-        assert record.payload_value("debit") == 35
-        with pytest.raises(KeyError):
-            record.payload_value("amount")
+        names = EVENT_FIELDS[record.kind]
+        assert dict(zip(names, record.values)) == {"deficit": 7, "debit": 35}
+        assert record.values[names.index("debit")] == 35
 
     def test_no_filter_returns_everything_in_order(self, ledger, events):
         for i in range(4):

@@ -39,16 +39,14 @@ def busy_world():
 def test_empty_log_replays_to_fresh_digest(tmp_path):
     path = tmp_path / "empty.jsonl"
     Ledger(io.StringIO()).export_txlog(path)
-    digest, expected = replay_file(path)
-    assert digest == expected == Ledger().state_digest()
+    assert replay_file(path) == Ledger().state_digest()
 
 
 def test_roundtrip(tmp_path):
     ledger = busy_world()
     path = tmp_path / "log.jsonl"
     exported = ledger.export_txlog(path)
-    digest, _ = replay_file(path)
-    assert digest == exported
+    assert replay_file(path) == exported
 
 
 def test_replayed_state_matches_original(tmp_path):
@@ -432,6 +430,36 @@ def test_unknown_term_rejected():
         replay_entries(decoded(WORLD + [entry]))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"op": "deposit", "contract": "sla-1", "caller": "mno", "amount": 1},
+        {"op": "deposit", "caller": "mno", "amount": 1},
+    ],
+    ids=["not-created", "none-named"],
+)
+def test_unknown_contract_rejected(entry):
+    message = f"^operation references unknown contract {entry.get('contract')!r}$"
+    with pytest.raises(MalformedLog, match=message):
+        replay_entries(decoded(WORLD + [entry]))
+
+
+def test_second_contract_replays(tmp_path):
+    """Each contract an entry names is the one its ``create_contract`` built."""
+    ledger = Ledger(io.StringIO())
+    owner = ledger.create_account(100, "mno")
+    SlaContract(ledger, owner)
+    second = SlaContract(ledger, owner)
+    assert second.id == "sla-1"
+    second.deposit(owner, 40)
+    path = tmp_path / "log.jsonl"
+    ledger.export_txlog(path)
+    assert replay_file(path) == ledger.state_digest()
+    _, entries = load_txlog(path)
+    replayed = replay_entries(entries).contracts
+    assert (replayed["sla-0"].escrow, replayed["sla-1"].escrow) == (0, 40)
+
+
 SCP_WORLD = WORLD + [
     {"op": "create_account", "label": "scp-1", "balance": 0},
     {"op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "scp-1",
@@ -547,8 +575,7 @@ def test_entry_line_with_whitespace_replays(tmp_path, edit, final_newline):
     for i in (1, len(lines) // 2, len(lines) - 1):
         lines[i] = edit(lines[i])
     path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
-    digest, expected = replay_file(path)
-    assert digest == expected == ledger.state_digest()
+    assert replay_file(path) == ledger.state_digest()
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import importlib
 from pathlib import Path
 
 from conftest import folded_run, make_terms
-from slasim import ScenarioConfig, ScpScenario, TrafficModel, rng, traffic
+from slasim import ScenarioConfig, ScpScenario, TrafficModel, replay, rng, traffic
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -74,6 +74,12 @@ def test_every_patched_name_exists():
     assert ("traffic", "detect_breaches") in targets
     missing = [f"{owner}.{attr}" for owner, attr in targets if not hasattr(resolve(owner), attr)]
     assert missing == []
+
+
+def test_tracer_times_every_contract_op():
+    """An op replay dispatches to the contract is one the tracer wraps, and no other."""
+    traced = string_tuples(ast.parse(TRACER.read_text(encoding="utf-8")))["CONTRACT_OPS"]
+    assert sorted(traced) == sorted(replay.CONTRACT_OPS)
 
 
 def test_drive_reaches_the_patched_names(monkeypatch):
