@@ -41,7 +41,6 @@ from .errors import (
     AlreadyRegistered,
     ContractDisabled,
     InactiveScp,
-    InsufficientEscrow,
     InsufficientEscrowForAccrual,
     NotDisabled,
     NothingToWithdraw,
@@ -290,7 +289,8 @@ class SlaContract:
         """Accrue payouts, apply the strike-reset rule, advance the clock.
 
         Fails atomically (no state change) if the accrual would promise more
-        than the escrow holds.
+        than the escrow holds: this cover check is the contract's one
+        solvency guard.
         """
         self._require_owner(caller)
         self._require_enabled()
@@ -329,6 +329,9 @@ class SlaContract:
         Pays the positive credit of the caller's live record and of its
         archived records, the same credits ``positive_credit_sum`` counts.
         Debt is not netted against it: an archived record's debt stays frozen.
+        The escrow covers it: ``escrow >= positive_credit_sum()`` after every
+        operation, and only ``close_period``, the one op that raises a credit,
+        has to check it.
         """
         record = self.registry.get(caller)
         if record is None:
@@ -339,10 +342,6 @@ class SlaContract:
         amount = sum(rec.credit for rec in paid)
         if amount == 0:
             raise NothingToWithdraw(f"{caller!r} has credit {record.credit}")
-        if self.escrow < amount:
-            raise InsufficientEscrow(
-                f"escrow {self.escrow} cannot settle credit {amount}"
-            )
         self.ledger.transfer(self.account, caller, amount)
         for rec in paid:
             rec.credit = 0
@@ -360,13 +359,15 @@ class SlaContract:
         self.ledger._log("failsafe_disable", contract=self.id, caller=caller)
 
     def recover_escrow(self, caller: str) -> int:
-        """Return the escrow net of provider credits to the owner (fail-safe only)."""
+        """Return the escrow net of provider credits to the owner (fail-safe only).
+
+        Never negative, as ``escrow >= positive_credit_sum()`` after every
+        operation; the escrow left holds exactly the positive credits.
+        """
         self._require_owner(caller)
         if not self.disabled:
             raise NotDisabled("recover_escrow requires the contract to be disabled")
         recoverable = self.escrow - self.positive_credit_sum()
-        if recoverable < 0:
-            recoverable = 0
         self.ledger.transfer(self.account, caller, recoverable)
         self.total_recovered += recoverable
         self.ledger.append_event(EventKind.ESCROW_RECOVERED, caller, None, recoverable)

@@ -61,10 +61,6 @@ class NothingToWithdraw(ContractError):
     pass
 
 
-class InsufficientEscrow(ContractError):
-    pass
-
-
 class InsufficientEscrowForAccrual(ContractError):
     pass
 

@@ -119,24 +119,21 @@ class Ledger:
         self.num_entries = 0  # transactions logged, with or without a file
         # contracts attach themselves so the digest covers their state too
         self.contracts: Dict[str, object] = {}
-        self._anon_counter = 0
         # running SHA-256 over every event's digest row
         self._events_hash = hashlib.sha256()
 
     # --- accounts ---------------------------------------------------------
 
-    def create_account(self, balance: int = 0, label: Optional[str] = None) -> str:
+    def create_account(self, balance: int, label: str) -> str:
+        """Open the account ``label``, which is its address, holding ``balance``."""
         address = self._new_account(balance, label)
         self._log("create_account", label=address, balance=balance)
         return address
 
-    def _new_account(self, balance: int, label: Optional[str]) -> str:
+    def _new_account(self, balance: int, label: str) -> str:
         """Open an account without logging it, for accounts a transaction opens."""
         _check_amount(balance)
-        if label is None:
-            label = f"acct-{self._anon_counter}"
-            self._anon_counter += 1
-        elif not isinstance(label, str):
+        if not isinstance(label, str):
             raise ValueError(f"account labels are strings, got {label!r}")
         if label in self.balances:
             raise DuplicateAddress(f"address {label!r} already exists")

@@ -114,7 +114,6 @@ def drive(
     contract: SlaContract,
     config: ScenarioConfig,
     fold: RowFold,
-    trace: Optional[TrafficTrace] = None,
 ) -> RunReport:
     """Run the full scenario against an already funded, registered contract.
 
@@ -125,8 +124,7 @@ def drive(
     as it does when ``fold.add`` is the ledger's event sink.
     Propagates contract errors (notably InsufficientEscrowForAccrual).
     """
-    if trace is None:
-        trace = generate_trace(config)
+    trace = generate_trace(config)
     owner = contract.owner
     terms_by_label = {scp.label: scp.terms for scp in config.scps}
     agreed = agreed_levels(trace.streams, terms_by_label)

@@ -129,7 +129,8 @@ def _conservation_holds(contract: SlaContract) -> bool:
 
 
 def conservation_fuzz(num_ops: int, seed: int = 0) -> Optional[dict]:
-    """Random valid operations; checks exact conservation after every step.
+    """Random valid operations; checks exact conservation and solvency
+    (``escrow >= positive_credit_sum()``) after every step.
 
     The last ~1% of the budget disables the contract and exercises
     withdraw/recover in the disabled state.  Then every provider withdraws
@@ -211,6 +212,8 @@ def conservation_fuzz(num_ops: int, seed: int = 0) -> Optional[dict]:
             return {"step": step, "action": action, "error": "ledger total changed"}
         if any(balance < 0 for balance in ledger.balances.values()):
             return {"step": step, "action": action, "error": "negative balance"}
+        if contract.escrow < contract.positive_credit_sum():
+            return {"step": step, "action": action, "error": "escrow below positive credits"}
     if not contract.disabled:  # a budget too small to reach disable_at
         contract.failsafe_disable(owner)
     for scp in scps:

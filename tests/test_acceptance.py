@@ -61,6 +61,22 @@ def test_liveness_oracle_reports_stranded_funds(monkeypatch):
     passed("liveness: once everyone withdraws and the owner recovers, escrow is empty")
 
 
+def test_fuzz_reports_escrow_below_positive_credits(monkeypatch):
+    # a recover_escrow that takes the whole escrow leaves credits it cannot pay
+    def recover_everything(contract, caller):
+        recoverable = contract.escrow
+        contract.ledger.transfer(contract.account, caller, recoverable)
+        contract.total_recovered += recoverable
+        return recoverable
+
+    assert conservation_fuzz(FUZZ_OPS, FUZZ_SEED) is None
+    monkeypatch.setattr(SlaContract, "recover_escrow", recover_everything)
+    violation = conservation_fuzz(FUZZ_OPS, FUZZ_SEED)
+    assert violation["error"] == "escrow below positive credits", violation
+    assert violation["action"] == "recover"
+    passed("solvency: after every fuzz step the escrow covers every positive credit")
+
+
 def test_three_strike_oracle_equivalence():
     counterexample = check_strike_equivalence(8)
     assert counterexample is None, counterexample

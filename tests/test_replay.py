@@ -94,7 +94,7 @@ def every_op_world(ledger=None):
     ledger = Ledger(io.StringIO()) if ledger is None else ledger
     owner = ledger.create_account(100_000, "mno")
     contract = SlaContract(ledger, owner)
-    scp = ledger.create_account()  # no label: the ledger names it
+    scp = ledger.create_account(0, "acct-0")
     other = ledger.create_account(0, "scp-2")
     contract.register_scp(owner, scp, make_terms())
     contract.register_scp(owner, other, make_flat_terms())

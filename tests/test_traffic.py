@@ -341,7 +341,7 @@ class TestDrive:
             )
         trace = generate_trace(config)
         ledger, contract, fold = folded_run(config, io.StringIO())
-        report = drive(ledger, contract, config, fold, trace=trace)
+        report = drive(ledger, contract, config, fold)
         removed = report.rows["scp-1"].removal_period
         assert removed is not None and removed < 25
         vectors = [entry["kb"] for entry in entries_of(ledger) if entry["op"] == "record_traffic"]
@@ -373,7 +373,7 @@ class TestDrive:
         terms = {scp.label: scp.terms for scp in config.scps}
         agreed = agreed_levels(trace.streams, terms)
         ledger, contract, fold = folded_run(config, io.StringIO())
-        report = drive(ledger, contract, config, fold, trace=trace)
+        report = drive(ledger, contract, config, fold)
         removed = report.rows["scp-1"].removal_period
         assert removed is not None and removed < 25
         batches = {}
