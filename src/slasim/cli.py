@@ -20,7 +20,7 @@ from typing import Optional, Sequence, TextIO
 
 from .config import ScenarioConfig, load_config
 from .contract import SlaContract
-from .errors import ContractError, DigestMismatch, InvalidConfig, MalformedLog
+from .errors import ContractError, DigestMismatch, DuplicateAddress, InvalidConfig, MalformedLog
 from .ledger import EventSink, Ledger
 from .report import RowFold
 from .replay import replay_file
@@ -85,7 +85,10 @@ def cmd_run(config_path: str, out_dir: str, seed: Optional[int] = None) -> int:
             report = drive(ledger, contract, config, fold)
             report.write_json(out / REPORT_JSON)
             report.write_csv(out / REPORT_CSV)
-            ledger.export_txlog(out / TXLOG_FILE, digest=report.digest)
+            ledger.export_txlog(out / TXLOG_FILE)
+    except DuplicateAddress as exc:  # an SCP label taken by the owner or the escrow
+        _diag(f"invalid config: {exc}")
+        return EXIT_INVALID
     except ContractError as exc:
         _diag(f"run aborted: {exc}")
         return EXIT_ABORT

@@ -40,6 +40,7 @@ from .errors import (
     AlreadyDisabled,
     AlreadyRegistered,
     ContractDisabled,
+    ContractError,
     InactiveScp,
     InsufficientEscrowForAccrual,
     NotDisabled,
@@ -112,7 +113,7 @@ class SlaContract:
         self.total_deposits = 0
         self.total_withdrawn = 0
         self.total_recovered = 0
-        ledger.attach_contract(self)
+        ledger.contracts[self.id] = self  # so the ledger's digest covers its state
         ledger._log("create_contract", contract=self.id, owner=owner)
 
     # --- guards -------------------------------------------------------------
@@ -141,6 +142,10 @@ class SlaContract:
         self._require_enabled()
         terms = terms.validate()  # the contract's own copy, as Solidity copies memory to storage
         self.ledger.balance(scp)
+        if any(scp == contract.account for contract in self.ledger.contracts.values()):
+            # a withdrawal would pay into an escrow, this one or another
+            # contract's, and still count as withdrawn
+            raise ContractError(f"the escrow account {scp!r} cannot be a provider")
         existing = self.registry.get(scp)
         if existing is not None:
             if existing.active:

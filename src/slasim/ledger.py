@@ -117,7 +117,7 @@ class Ledger:
         self.current_period: int = 0
         self.txlog = txlog
         self.num_entries = 0  # transactions logged, with or without a file
-        # contracts attach themselves so the digest covers their state too
+        # each contract adds itself, by id, so the digest covers its state too
         self.contracts: Dict[str, object] = {}
         # running SHA-256 over every event's digest row
         self._events_hash = hashlib.sha256()
@@ -213,11 +213,6 @@ class Ledger:
         if self.txlog is not None:
             self.txlog.write(_encode_entry({"op": op, **fields}) + "\n")
 
-    def attach_contract(self, contract) -> None:
-        if contract.id in self.contracts:
-            raise DuplicateAddress(f"contract id {contract.id!r} already attached")
-        self.contracts[contract.id] = contract
-
     def canonical_state(self) -> dict:
         """Deterministic, fully sorted representation of the whole world state.
 
@@ -242,16 +237,14 @@ class Ledger:
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def export_txlog(self, path, digest: Optional[str] = None) -> str:
-        """Write the tx log as JSON lines; header carries the final digest.
+    def export_txlog(self, path) -> str:
+        """Write the tx log as JSON lines; the header carries the state digest.
 
-        ``digest`` lets callers reuse an already computed digest of the
-        current state instead of recomputing it.  The entries are already
-        encoded in the ``txlog`` file, so they are copied behind the header as
-        they are; the ledger must have been given one.
+        The entries are already encoded in the ``txlog`` file, so they are
+        copied behind the header as they are; the ledger must have been given
+        one.  Returns the digest.
         """
-        if digest is None:
-            digest = self.state_digest()
+        digest = self.state_digest()
         header = {
             "format": TXLOG_FORMAT,
             "version": TXLOG_VERSION,

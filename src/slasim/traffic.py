@@ -24,11 +24,11 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import count
 from operator import add, mod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .config import ScenarioConfig, SlaTerms, to_json
+from .config import ScenarioConfig, to_json
 from .contract import SlaContract
-from .errors import UnknownQci
+from .errors import InvalidConfig
 from .ledger import Ledger
 from .report import RowFold, RunReport
 # splitmix64 is not called here: the benchmark's tracer counts calls through this name
@@ -42,9 +42,7 @@ class TrafficTrace:
     ``streams`` holds every stream's ``(label, qci)`` once, in (label, qci)
     order.  ``periods[p]`` holds period ``p``'s measured kb, one value per
     stream in that order, as an ``array('q')``: a trace of 450,000 samples is
-    about 4 MiB of values rather than 45 MiB of tuples.  With every label
-    registered as its address and active, that order is the contract's stream
-    order, so a period's values are a ``record_traffic`` vector as they are.
+    about 4 MiB of values rather than 45 MiB of tuples.
     """
 
     streams: List[Tuple[str, int]] = field(default_factory=list)
@@ -84,22 +82,12 @@ def generate_trace(config: ScenarioConfig) -> TrafficTrace:
     return trace
 
 
-def agreed_levels(
-    streams: Sequence[Tuple[str, int]], terms_by_label: Dict[str, SlaTerms]
-) -> List[int]:
-    """Each stream's agreed throughput, in the order of ``streams``."""
-    for label, qci in streams:
-        if qci not in terms_by_label[label].agreed_throughput:
-            raise UnknownQci(f"QCI {qci} is not part of {label!r}'s agreement")
-    return [terms_by_label[label].agreed_throughput[qci] for label, qci in streams]
-
-
 def detect_breaches(kb: Sequence[int], agreed: Sequence[int]) -> List[Tuple[int, int]]:
     """``(stream, deficit)`` for every stream whose measured kb < agreed level.
 
-    ``kb`` and ``agreed`` (see ``agreed_levels``) hold one value per stream,
-    and ``stream`` is its index there, ascending; ``drive`` passes the active
-    streams, so the pairs index the contract's stream order.  Strict
+    ``kb`` and ``agreed`` hold one value per stream, and ``stream`` is its
+    index there, ascending; ``drive`` passes the active streams in the
+    contract's stream order, so the pairs index that order.  Strict
     inequality: meeting the agreed average exactly is not a breach.
     """
     return [
@@ -118,42 +106,44 @@ def drive(
     """Run the full scenario against an already funded, registered contract.
 
     Expects every scenario SCP registered under its label as its ledger
-    address and the owner's deposit already made.  After the last period,
-    every provider with positive credit withdraws.  The report's rows are
-    those of ``fold``, a ``RowFold`` that has seen every event of the ledger,
-    as it does when ``fold.add`` is the ledger's event sink.
-    Propagates contract errors (notably InsufficientEscrowForAccrual).
+    address and the owner's deposit already made.  Each period's vector holds
+    the trace values of ``contract.stream_order``, read again after a removal,
+    and is checked against the registered agreed levels.  After the last
+    period, every provider with positive credit withdraws.  The report's rows
+    are those of ``fold``, a ``RowFold`` that has seen every event of the
+    ledger, as it does when ``fold.add`` is the ledger's event sink.
+    Raises InvalidConfig, before any call, unless the traced streams are the
+    contract's; propagates contract errors (notably InsufficientEscrowForAccrual).
     """
     trace = generate_trace(config)
     owner = contract.owner
-    terms_by_label = {scp.label: scp.terms for scp in config.scps}
-    agreed = agreed_levels(trace.streams, terms_by_label)
     registry = contract.registry
-    # the trace columns of the active streams, once a removal leaves some out,
-    # and their agreed levels; until then every trace stream is active and
-    # its own contract stream, so a period's values are the contract's vector
-    columns: Optional[List[int]] = None
-    levels = agreed
+    column = {stream: i for i, stream in enumerate(trace.streams)}
+    unmatched = column.keys() ^ set(contract.stream_order)
+    if unmatched:
+        raise InvalidConfig(f"streams {sorted(unmatched)} are not both monitored and agreed")
+    # the trace columns of the active streams, in the contract's stream
+    # order, and their agreed levels; read at the start and after a removal
+    columns: List[int] = []
+    levels: List[int] = []
 
     for period in range(config.num_periods):
-        kb = trace.periods[period]
-        if columns is not None:
-            kb = [kb[i] for i in columns]
+        if contract.num_streams != len(columns):
+            order = contract.stream_order
+            columns = [column[stream] for stream in order]
+            levels = [registry[scp].terms.agreed_throughput[qci] for scp, qci in order]
+        values = trace.periods[period]
+        kb = [values[i] for i in columns]
         if kb:
             contract.record_traffic(owner, kb)
         breaches = detect_breaches(kb, levels)
         if breaches:
             contract.throughput_breach(owner, breaches)
-            if contract.num_streams != len(kb):
-                columns = [
-                    i for i, (name, _) in enumerate(trace.streams) if registry[name].active
-                ]
-                levels = [agreed[i] for i in columns]
         contract.close_period(owner)
 
-    for label in sorted(terms_by_label):
-        if contract.registry[label].credit > 0:
-            contract.withdraw(label)
+    for address, record in registry.items():
+        if record.credit > 0:
+            contract.withdraw(address)
 
     return RunReport(
         seed=config.seed,

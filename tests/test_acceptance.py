@@ -21,7 +21,7 @@ from slasim.cli import (
     cmd_replay,
     cmd_run,
 )
-from slasim.errors import ContractDisabled, NothingToWithdraw
+from slasim.errors import ContractDisabled, InsufficientEscrowForAccrual, NothingToWithdraw
 from slasim.traffic import drive
 from slasim.verify import (
     check_strike_equivalence,
@@ -40,6 +40,27 @@ def test_fund_conservation_fuzz():
     violation = conservation_fuzz(10_000, seed=1234)
     assert violation is None, violation
     passed("fund conservation over 10,000 fuzzed operations")
+
+
+@pytest.mark.parametrize("ops, seed", [(FUZZ_OPS, FUZZ_SEED), (10_000, 1234)],
+                         ids=["verify", "acceptance"])
+def test_fuzz_closes_are_both_accepted_and_refused(monkeypatch, ops, seed):
+    # each outcome of close_period's cover check is at least 10% of the closes
+    closes = {"accepted": 0, "refused": 0}
+    close_period = SlaContract.close_period
+
+    def counted(contract, caller):
+        try:
+            close_period(contract, caller)
+        except InsufficientEscrowForAccrual:
+            closes["refused"] += 1
+            raise
+        closes["accepted"] += 1
+
+    monkeypatch.setattr(SlaContract, "close_period", counted)
+    assert conservation_fuzz(ops, seed) is None
+    assert min(closes.values()) * 10 >= sum(closes.values()), closes
+    passed(f"the fuzz at seed {seed} meets the cover check both ways: {closes}")
 
 
 def test_liveness_oracle_reports_stranded_funds(monkeypatch):

@@ -67,6 +67,19 @@ def test_non_integer_window_start_is_invalid(tmp_path, capsys):
     assert "scps[0].traffic.1.degradations[0].start: must be a non-negative integer" in err
 
 
+@pytest.mark.parametrize("label", ["mno", "sla-0:escrow"], ids=["owner", "escrow"])
+def test_label_of_a_taken_address_is_invalid(tmp_path, capsys, label):
+    """The owner's and the escrow's accounts are opened before any SCP's."""
+    taken = json.loads(json.dumps(VALID))
+    taken["scps"][0]["label"] = label
+    path = tmp_path / "taken.json"
+    path.write_text(json.dumps(taken))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", path, "--out", out) == EXIT_INVALID
+    assert capsys.readouterr().err == f"invalid config: address {label!r} already exists\n"
+    assert list(out.iterdir()) == []
+
+
 def test_seed_override_echoed(config_file, tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "--config", config_file, "--out", out, "--seed", 777) == EXIT_OK

@@ -15,6 +15,8 @@ from slasim.errors import (
     AlreadyDisabled,
     AlreadyRegistered,
     ContractDisabled,
+    ContractError,
+    DuplicateAddress,
     InsufficientEscrowForAccrual,
     InactiveScp,
     InsufficientFunds,
@@ -35,10 +37,34 @@ def status(contract, scp):
     return record.active, record.credit, record.consecutive_strikes
 
 
+@pytest.mark.parametrize("first, second", [(None, "sla-0"), ("sla-1", None)],
+                         ids=["explicit", "defaulted-after-sla-1"])
+def test_taken_contract_id_changes_nothing(ledger, first, second):
+    """A second contract under a taken id is refused before it logs or opens anything."""
+    owner = ledger.create_account(100, "mno")
+    SlaContract(ledger, owner, first)
+    state, logged = ledger.canonical_state(), log_state(ledger)
+    with pytest.raises(DuplicateAddress, match=r":escrow' already exists"):
+        SlaContract(ledger, owner, second)
+    assert ledger.canonical_state() == state
+    assert log_state(ledger) == logged
+
+
 class TestRegistration:
     def test_fresh_record(self, world):
         _, contract, _, scp = world
         assert status(contract, scp) == (True, 0, 0)
+
+    @pytest.mark.parametrize("escrow", ["sla-0:escrow", "sla-1:escrow"], ids=["own", "other"])
+    def test_escrow_account_cannot_register(self, world, escrow):
+        """A withdrawal would pay into an escrow and still count as withdrawn."""
+        ledger, contract, owner, _ = world
+        SlaContract(ledger, owner)
+        state, logged = ledger.canonical_state(), log_state(ledger)
+        with pytest.raises(ContractError, match=f"escrow account '{escrow}'"):
+            contract.register_scp(owner, escrow, make_terms())
+        assert ledger.canonical_state() == state
+        assert log_state(ledger) == logged
 
     def test_non_owner_rejected(self, world):
         ledger, contract, _, _ = world

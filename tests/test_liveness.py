@@ -13,8 +13,8 @@ withdraws, and the escrow must be empty.
 
 The escrow starts small and deposits stay small, so ``close_period``'s cover
 check, the contract's one solvency guard, refuses closes.  The machine is
-that guard's oracle: ``verify.conservation_fuzz`` funds its contract far
-beyond what it ever accrues.
+that guard's oracle beside ``verify.conservation_fuzz``, which tops its
+escrow up only after a refused close.
 """
 
 import io

@@ -186,8 +186,8 @@ def test_run_log_equals_in_memory_log(tmp_path):
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     config = config_from_dict(data)
     ledger, contract, fold = folded_run(config, io.StringIO())
-    report = drive(ledger, contract, config, fold)
-    ledger.export_txlog(tmp_path / "in_memory.jsonl", digest=report.digest)
+    drive(ledger, contract, config, fold)
+    ledger.export_txlog(tmp_path / "in_memory.jsonl")
     run_log = (tmp_path / "full" / "txlog.jsonl").read_bytes()
     assert len(run_log) > 2**16
     assert run_log == (tmp_path / "in_memory.jsonl").read_bytes()
@@ -216,7 +216,7 @@ def test_streamed_run_equals_in_memory_run(tmp_path):
     in_memory.mkdir()
     report.write_json(in_memory / "report.json")
     report.write_csv(in_memory / "report.csv")
-    ledger.export_txlog(in_memory / "txlog.jsonl", digest=report.digest)
+    assert ledger.export_txlog(in_memory / "txlog.jsonl") == report.digest
     for name in ("report.json", "report.csv", "txlog.jsonl"):
         assert (tmp_path / "streamed" / name).read_bytes() == (in_memory / name).read_bytes()
     # replay builds no EventRecord, since it passes no sink, and its running
@@ -458,6 +458,14 @@ def test_second_contract_replays(tmp_path):
     _, entries = load_txlog(path)
     replayed = replay_entries(entries).contracts
     assert (replayed["sla-0"].escrow, replayed["sla-1"].escrow) == (0, 40)
+
+
+def test_escrow_account_registration_rejected_on_replay():
+    entry = {"op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "sla-0:escrow",
+             "terms": valid_dict()["scps"][0]["terms"]}
+    reason = r"entry 2 \(register_scp\): rejected on replay: the escrow account"
+    with pytest.raises(MalformedLog, match=reason):
+        replay_entries(decoded(WORLD + [entry]))
 
 
 SCP_WORLD = WORLD + [

@@ -1,12 +1,14 @@
 """Monitoring simulator: trace generation, breach detection, scenario driving."""
 
 import io
+import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import entries_of, folded_run, make_terms
+from conftest import entries_of, folded_run, log_state, make_terms
 from slasim import (
     DegradationWindow,
     EventKind,
@@ -14,14 +16,15 @@ from slasim import (
     ScpScenario,
     SlaContract,
     TrafficModel,
+    TrafficTrace,
     detect_breaches,
     drive,
     generate_trace,
+    traffic,
 )
 from slasim.cli import setup_run
-from slasim.errors import UnknownQci
+from slasim.errors import InvalidConfig
 from slasim.rng import splitmix64, stream_key
-from slasim.traffic import agreed_levels
 from slasim.verify import registry_matches_events
 
 
@@ -112,8 +115,8 @@ class TestGenerateTrace:
         keys = [(label, qci) for label in ("scp-a", "scp-b", "scp-c") for qci in (1, 5)]
         assert trace.streams == keys
         assert [len(kb) for kb in trace.periods] == [len(keys)] * 3
-        # the trace order is the contract's stream order, so drive passes a
-        # period's values to record_traffic as they are
+        # the same order as the contract's, but drive does not rely on it: it
+        # reads contract.stream_order (see test_trace_column_order_is_not_read)
         _, contract = setup_run(config)
         assert contract.stream_order == keys
 
@@ -250,17 +253,11 @@ class TestDetectBreaches:
             for label in ("a", "b", "c")
         }
         streams = [(label, qci) for label in ("a", "b", "c") for qci in (1, 5)]
-        agreed = agreed_levels(streams, terms)
+        agreed = [terms[label].agreed_throughput[qci] for label, qci in streams]
         assert agreed == [1000, 500] * 3
         kb = [1000, 100, 900, 500, 1200, 600]
         # (a, 5) and (b, 1) are streams 1 and 2, in ascending order
         assert detect_breaches(kb, agreed) == [(1, 400), (2, 100)]
-
-    def test_unknown_qci(self):
-        # the agreed row is built once per drive, and it names the stream
-        terms = {"scp-1": make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2})}
-        with pytest.raises(UnknownQci, match="QCI 9"):
-            agreed_levels([("scp-1", 1), ("scp-1", 9)], terms)
 
 
 class TestDrive:
@@ -308,7 +305,8 @@ class TestDrive:
     def test_breach_event_count_matches_detection(self):
         config = scenario(variability=(1, 4), agreed=1000, num_periods=20)
         trace = generate_trace(config)
-        agreed = agreed_levels(trace.streams, {"scp-1": config.scps[0].terms})
+        assert trace.streams == [("scp-1", 1)]
+        agreed = [config.scps[0].terms.agreed_throughput[1]]
         expected = 0
         removed_at = None
         strikes = 0
@@ -371,7 +369,7 @@ class TestDrive:
             )
         trace = generate_trace(config)
         terms = {scp.label: scp.terms for scp in config.scps}
-        agreed = agreed_levels(trace.streams, terms)
+        agreed = [terms[label].agreed_throughput[qci] for label, qci in trace.streams]
         ledger, contract, fold = folded_run(config, io.StringIO())
         report = drive(ledger, contract, config, fold)
         removed = report.rows["scp-1"].removal_period
@@ -397,6 +395,59 @@ class TestDrive:
         # scp-2 breaches after the removal, through the remapped indices
         assert any(period > removed for period in batches)
         assert registry_matches_events(contract, fold) is None
+
+    def test_trace_column_order_is_not_read(self, monkeypatch):
+        """drive takes the stream order from the contract, not from the trace."""
+        config = scenario(variability=(1, 4), agreed=1000, num_periods=30)
+        for label, level in (("scp-0", 0), ("scp-2", 1000)):
+            config.scps.append(
+                ScpScenario(
+                    label=label,
+                    terms=make_terms(agreed_throughput={1: level, 5: level // 2},
+                                     penalty_rate=(1, 1), strike_limit=100),
+                    traffic={q: TrafficModel(nominal_kb=1000, variability=(1, 4))
+                             for q in (1, 5)},
+                )
+            )
+        ledger, contract, fold = folded_run(config, io.StringIO())
+        report = drive(ledger, contract, config, fold)
+        assert report.rows["scp-1"].removal_period is not None  # the order is read again
+        expected = entries_of(ledger)
+
+        original = traffic.generate_trace
+        order = list(range(5))
+        random.Random(5).shuffle(order)
+        assert order != sorted(order)
+
+        def permuted(config):
+            trace = original(config)
+            return TrafficTrace(
+                streams=[trace.streams[i] for i in order],
+                periods=[array("q", [kb[i] for i in order]) for kb in trace.periods],
+            )
+
+        monkeypatch.setattr(traffic, "generate_trace", permuted)
+        ledger, contract, fold = folded_run(config, io.StringIO())
+        drive(ledger, contract, config, fold)
+        assert entries_of(ledger) == expected
+
+    @pytest.mark.parametrize("traffic_qcis, agreed_qcis", [((1, 9), (1,)), ((1,), (1, 9))],
+                             ids=["unagreed-traffic", "unmonitored-agreement"])
+    def test_qci_not_both_monitored_and_agreed(self, traffic_qcis, agreed_qcis):
+        """A scenario built in Python, unread, is refused before the first period."""
+        terms = make_terms(agreed_throughput=dict.fromkeys(agreed_qcis, 100),
+                           price_per_kb=dict.fromkeys(agreed_qcis, 1))
+        config = ScenarioConfig(
+            seed=7, num_periods=3, escrow_deposit=10**6,
+            scps=[ScpScenario(label="scp-1", terms=terms,
+                              traffic={q: TrafficModel(nominal_kb=1000) for q in traffic_qcis})],
+        )
+        ledger, contract, fold = folded_run(config, io.StringIO())
+        state, logged = ledger.canonical_state(), log_state(ledger)
+        with pytest.raises(InvalidConfig, match=r"^streams \[\('scp-1', 9\)\] are not both"):
+            drive(ledger, contract, config, fold)
+        assert ledger.canonical_state() == state
+        assert log_state(ledger) == logged
 
     def test_run_twice_identical_reports(self):
         config = scenario(variability=(1, 3), agreed=950, num_periods=25)
