@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 import tempfile
+from contextlib import suppress
+from itertools import takewhile
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
@@ -70,6 +72,18 @@ def cmd_run(config_path: str, out_dir: str, seed: Optional[int] = None) -> int:
         _diag(f"invalid config: {exc}")
         return EXIT_INVALID
     out = Path(out_dir)
+    # the directories this run creates, deepest first; each is removed unless it
+    # holds an output, so a run that fails before it writes one leaves none
+    created = list(takewhile(lambda path: not path.exists(), (out, *out.parents)))
+    try:
+        return _run_into(out, config)
+    finally:
+        with suppress(OSError):  # a directory that is not empty stays, and so do its parents
+            for path in created:
+                path.rmdir()
+
+
+def _run_into(out: Path, config: ScenarioConfig) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -28,13 +28,13 @@ The dataclass fields below are the schema.  A field's name is its JSON key,
 its default is the value of a missing key, and its ``metadata["check"]``
 reads one JSON value and names the field's path in any error.  ``read``
 builds a record from that table and rejects a key the table does not define;
-``to_json`` echoes a record field by field.  The rules that span a
-scenario's fields run once, in ``config_from_dict``: labels are unique, every
-QCI agreed in an SCP's ``terms`` has a ``traffic`` stream and every stream's
-QCI is agreed (an unmonitored QCI could never breach), and degradation
-windows lie inside ``[0, num_periods)``.  The terms' own rule, that a
-per-traffic price list covers exactly the agreed QCIs, runs when
-``SlaTerms`` is built.
+``to_json`` echoes a record field by field.  A record's rules that span its
+fields run in its ``__post_init__``, so they hold however it is built, read
+or constructed in Python.  ``ScenarioConfig``'s: labels are unique, every QCI
+agreed in an SCP's ``terms`` has a ``traffic`` stream and every stream's QCI
+is agreed (an unmonitored QCI could never breach), and degradation windows
+lie inside ``[0, num_periods)``.  ``SlaTerms``': at least one QCI is agreed,
+and a per-traffic price list covers exactly the agreed QCIs.
 Rationals are [numerator, denominator] pairs of non-negative integers.
 Degradation windows are inclusive on both ends and multipliers compose
 multiplicatively with floor rounding.
@@ -115,11 +115,11 @@ def _uint(bits: Optional[int] = None, least: int = 0) -> Check:
 
 
 def _ratio(at_most_one: bool) -> Check:
-    """A [numerator, denominator] pair of ``int``s with num >= 0 < den, read as a tuple."""
+    """A [numerator, denominator] array of ``int``s with num >= 0 < den, read as a tuple."""
     span = "[0, 1]" if at_most_one else "[0, inf)"
 
     def check(value, path):
-        num, den = value if type(value) in (list, tuple) and len(value) == 2 else (None, None)
+        num, den = value if type(value) is list and len(value) == 2 else (None, None)
         if type(num) is not int or type(den) is not int:
             raise InvalidConfig(f"{path}: must be a [numerator, denominator] pair")
         if den <= 0 or num < 0 or (at_most_one and num > den):
@@ -188,9 +188,7 @@ def _by_qci(check: Check, keys_name_items: bool = False) -> Check:
         mapping = {}
         for key, item in _object(value, path).items():
             entry = f"{path}.{key}"
-            if type(key) is not int or key < 0:  # a QCI this returned is kept
-                key = qci_from_key(key, entry if keys_name_items else path)
-            mapping[key] = check(item, entry)
+            mapping[qci_from_key(key, entry if keys_name_items else path)] = check(item, entry)
         return mapping
 
     return read_map
@@ -199,10 +197,6 @@ def _by_qci(check: Check, keys_name_items: bool = False) -> Check:
 def _record(cls) -> Check:
     """A JSON object read as a ``cls`` record whose fields are named ``path.field``."""
     return lambda value, path: read(cls, _object(value, path), f"{path}.")
-
-
-def _terms(value, path):
-    return read(SlaTerms, value, f"{path}: ")
 
 
 @dataclass(frozen=True)
@@ -241,23 +235,9 @@ class SlaTerms:
     def __post_init__(self) -> None:
         if not self.agreed_throughput:
             raise InvalidConfig("agreed_throughput must declare at least one QCI")
-        if self.payment_mode == PER_TRAFFIC and self.price_per_kb.keys() != (
-            self.agreed_throughput.keys()
-        ):
+        priced = self.price_per_kb.keys()
+        if self.payment_mode == PER_TRAFFIC and priced != self.agreed_throughput.keys():
             raise InvalidConfig("price_per_kb and agreed_throughput must share one QCI set")
-
-    def validate(self) -> "SlaTerms":
-        """Check terms built in Python, not read: each field's check must return it unchanged.
-
-        The checks of these fields also accept the values they return; they
-        return fresh maps, so the copy shares nothing the caller can change.
-        """
-        checked = {}
-        for name, value in vars(self).items():
-            checked[name] = self.__dataclass_fields__[name].metadata["check"](value, name)
-            if checked[name] != value:
-                raise InvalidConfig(f"{name}: {value!r} is not the value it is read as")
-        return SlaTerms(**checked)
 
     def penalty_debit(self, deficit_kbps: int) -> int:
         num, den = self.penalty_rate
@@ -267,7 +247,7 @@ class SlaTerms:
 @dataclass
 class ScpScenario:
     label: str = _checked(_label)
-    terms: SlaTerms = _checked(_terms)
+    terms: SlaTerms = _checked(lambda value, path: read(SlaTerms, value, f"{path}: "))
     traffic: Dict[int, TrafficModel] = _checked(
         _by_qci(_record(TrafficModel), keys_name_items=True)
     )
@@ -280,33 +260,29 @@ class ScenarioConfig:
     escrow_deposit: int = _checked(_uint())
     scps: List[ScpScenario] = _checked(_array(_record(ScpScenario), nonempty=True))
 
-
-def config_from_dict(data: object) -> ScenarioConfig:
-    """Read a scenario, then check the rules that span its fields."""
-    config = read(ScenarioConfig, data)
-    labels = set()
-    for i, scp in enumerate(config.scps):
-        where = f"scps[{i}]"
-        if scp.label in labels:
-            raise InvalidConfig(f"{where}.label: duplicate label {scp.label!r}")
-        labels.add(scp.label)
-        agreed = scp.terms.agreed_throughput
-        unmonitored = sorted(agreed.keys() - scp.traffic.keys())
-        if unmonitored:
-            raise InvalidConfig(
-                f"{where}.traffic: {scp.label!r} agrees QCIs {unmonitored} with "
-                f"no traffic stream; an unmonitored QCI can never breach"
-            )
-        for qci, model in scp.traffic.items():
-            if qci not in agreed:
-                raise InvalidConfig(f"{where}.traffic.{qci}: QCI not declared in terms")
-            for j, window in enumerate(model.degradations):
-                if not window.start <= window.end < config.num_periods:
-                    raise InvalidConfig(
-                        f"{where}.traffic.{qci}.degradations[{j}]: window "
-                        f"[{window.start}, {window.end}] outside [0, {config.num_periods})"
-                    )
-    return config
+    def __post_init__(self) -> None:
+        labels = set()
+        for i, scp in enumerate(self.scps):
+            where = f"scps[{i}]"
+            if scp.label in labels:
+                raise InvalidConfig(f"{where}.label: duplicate label {scp.label!r}")
+            labels.add(scp.label)
+            agreed = scp.terms.agreed_throughput
+            unmonitored = sorted(agreed.keys() - scp.traffic.keys())
+            if unmonitored:
+                raise InvalidConfig(
+                    f"{where}.traffic: {scp.label!r} agrees QCIs {unmonitored} with "
+                    f"no traffic stream; an unmonitored QCI can never breach"
+                )
+            for qci, model in scp.traffic.items():
+                if qci not in agreed:
+                    raise InvalidConfig(f"{where}.traffic.{qci}: QCI not declared in terms")
+                for j, window in enumerate(model.degradations):
+                    if not window.start <= window.end < self.num_periods:
+                        raise InvalidConfig(
+                            f"{where}.traffic.{qci}.degradations[{j}]: window "
+                            f"[{window.start}, {window.end}] outside [0, {self.num_periods})"
+                        )
 
 
 def load_config(path, seed: Optional[int] = None) -> ScenarioConfig:
@@ -320,4 +296,4 @@ def load_config(path, seed: Optional[int] = None) -> ScenarioConfig:
         raise InvalidConfig(f"{path} is not valid JSON: {exc}") from exc
     if seed is not None and type(data) is dict:
         data["seed"] = seed
-    return config_from_dict(data)
+    return read(ScenarioConfig, data)

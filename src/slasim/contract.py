@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .config import FLAT_RATE, SlaTerms, to_json
+from .config import FLAT_RATE, SlaTerms, read, to_json
 from .errors import (
     AlreadyDisabled,
     AlreadyRegistered,
@@ -43,6 +43,7 @@ from .errors import (
     ContractError,
     InactiveScp,
     InsufficientEscrowForAccrual,
+    InvalidConfig,
     NotDisabled,
     NothingToWithdraw,
     NotOwner,
@@ -140,21 +141,27 @@ class SlaContract:
     def register_scp(self, caller: str, scp: str, terms: SlaTerms) -> None:
         self._require_owner(caller)
         self._require_enabled()
-        terms = terms.validate()  # the contract's own copy, as Solidity copies memory to storage
         self.ledger.balance(scp)
         if any(scp == contract.account for contract in self.ledger.contracts.values()):
             # a withdrawal would pay into an escrow, this one or another
             # contract's, and still count as withdrawn
             raise ContractError(f"the escrow account {scp!r} cannot be a provider")
         existing = self.registry.get(scp)
+        if existing is not None and existing.active:
+            raise AlreadyRegistered(f"{scp!r} is already active in the register")
+        # the contract stores the terms it reads from its own log entry, as a
+        # contract on a chain stores what it decodes from its transaction's input
+        logged = to_json(terms)
+        stored = read(SlaTerms, logged)
+        if stored != terms:  # a value read back as another, such as [5, 1] as (5, 1)
+            name = next(n for n in vars(stored) if getattr(stored, n) != getattr(terms, n))
+            raise InvalidConfig(f"{name}: {getattr(terms, name)!r} is not the value it is read as")
+        self.registry[scp] = ScpRecord(address=scp, terms=stored)
         if existing is not None:
-            if existing.active:
-                raise AlreadyRegistered(f"{scp!r} is already active in the register")
             # removed providers may re-enter under fresh terms; the old record
             # is archived with its credit/debt frozen, never merged
             self.archived.append(existing)
-        self.registry[scp] = ScpRecord(address=scp, terms=terms)
-        if existing is None:
+        else:
             # a new address: keep the registry in address order, the order in
             # which close_period and canonical_state walk it
             records = sorted(self.registry.items())
@@ -162,9 +169,7 @@ class SlaContract:
             self.registry.update(records)
         self._rebuild_streams()
         self.ledger.append_event(EventKind.SCP_REGISTERED, scp)
-        self.ledger._log(
-            "register_scp", contract=self.id, caller=caller, scp=scp, terms=to_json(terms)
-        )
+        self.ledger._log("register_scp", contract=self.id, caller=caller, scp=scp, terms=logged)
 
     def deposit(self, caller: str, amount: int) -> None:
         self._require_owner(caller)

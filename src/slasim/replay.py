@@ -43,8 +43,8 @@ CONTRACT_OPS = frozenset(
 def _read_log(path) -> Iterator[dict]:
     """Yield the checked header, then each entry as it is decoded.
 
-    A header with a key other than those ``export_txlog`` writes is rejected
-    before any entry is read, so a misspelt key is named, not replayed past.
+    The whole header (format, keys, version, digest, entry count) is checked
+    before any entry is read, so a misspelt key or a bad count is not replayed past.
 
     The file stays open until the last entry is read or the generator is
     closed; a bad line is reported when iteration reaches it.
@@ -66,6 +66,11 @@ def _read_log(path) -> Iterator[dict]:
                     f"unsupported log version {version!r}"
                     f" (expected {TXLOG_VERSION})"
                 )
+            digest, entries = header.get("digest"), header.get("entries")
+            if type(digest) is not str:
+                raise MalformedLog(f"header digest {digest!r} is not a string")
+            if type(entries) is not int or entries < 0:
+                raise MalformedLog(f"header entries {entries!r} is not a non-negative integer")
             yield header
             for line in fh:
                 try:  # the C scanner alone, for a line that is one value and its newline
@@ -144,16 +149,11 @@ def replay_file(path) -> str:
     """
     header, entries = load_txlog(path)
     with closing(entries):  # closes the file if replay stops partway
-        expected = header.get("digest")
-        if not isinstance(expected, str):
-            raise MalformedLog("header is missing its digest")
         ledger = replay_entries(entries)
     digest = ledger.state_digest()
-    if digest != expected:
-        raise DigestMismatch(f"replay digest {digest} != recorded {expected}")
-    replayed = ledger.num_entries
-    if type(header.get("entries")) is not int or header["entries"] != replayed:
-        raise MalformedLog(
-            f"header counts {header.get('entries')!r} entries, the log holds {replayed}"
-        )
+    if digest != header["digest"]:
+        raise DigestMismatch(f"replay digest {digest} != recorded {header['digest']}")
+    if header["entries"] != ledger.num_entries:
+        raise MalformedLog(f"header counts {header['entries']} entries, "
+                           f"the log holds {ledger.num_entries}")
     return digest

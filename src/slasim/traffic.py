@@ -28,7 +28,6 @@ from typing import List, Sequence, Tuple
 
 from .config import ScenarioConfig, to_json
 from .contract import SlaContract
-from .errors import InvalidConfig
 from .ledger import Ledger
 from .report import RowFold, RunReport
 # splitmix64 is not called here: the benchmark's tracer counts calls through this name
@@ -112,16 +111,12 @@ def drive(
     period, every provider with positive credit withdraws.  The report's rows
     are those of ``fold``, a ``RowFold`` that has seen every event of the
     ledger, as it does when ``fold.add`` is the ledger's event sink.
-    Raises InvalidConfig, before any call, unless the traced streams are the
-    contract's; propagates contract errors (notably InsufficientEscrowForAccrual).
+    Propagates contract errors (notably InsufficientEscrowForAccrual).
     """
     trace = generate_trace(config)
     owner = contract.owner
     registry = contract.registry
     column = {stream: i for i, stream in enumerate(trace.streams)}
-    unmatched = column.keys() ^ set(contract.stream_order)
-    if unmatched:
-        raise InvalidConfig(f"streams {sorted(unmatched)} are not both monitored and agreed")
     # the trace columns of the active streams, in the contract's stream
     # order, and their agreed levels; read at the start and after a removal
     columns: List[int] = []

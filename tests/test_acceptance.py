@@ -273,9 +273,9 @@ def test_closed_form_payout(tmp_path):
             for i in range(3)
         ],
     }
-    from slasim.config import config_from_dict
+    from slasim.config import ScenarioConfig, read
 
-    config = config_from_dict(config_dict)
+    config = read(ScenarioConfig, config_dict)
     ledger, contract, fold = folded_run(config)
     report = drive(ledger, contract, config, fold)
     expected = sum(prices[q] * nominal[q] for q in qcis) * num_periods
@@ -286,9 +286,9 @@ def test_closed_form_payout(tmp_path):
 
 
 def test_event_completeness(tmp_path):
-    from slasim.config import config_from_dict
+    from slasim.config import ScenarioConfig, read
 
-    config = config_from_dict(big_scenario_dict())
+    config = read(ScenarioConfig, big_scenario_dict())
     config.num_periods = 150  # includes each provider's first outage window
     for scp in config.scps:
         for model in scp.traffic.values():

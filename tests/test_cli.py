@@ -74,10 +74,12 @@ def test_label_of_a_taken_address_is_invalid(tmp_path, capsys, label):
     taken["scps"][0]["label"] = label
     path = tmp_path / "taken.json"
     path.write_text(json.dumps(taken))
-    out = tmp_path / "out"
+    out = tmp_path / "o2" / "sub"
     assert run_cli("run", "--config", path, "--out", out) == EXIT_INVALID
     assert capsys.readouterr().err == f"invalid config: address {label!r} already exists\n"
-    assert list(out.iterdir()) == []
+    # the run removes both directories it created
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_seed_override_echoed(config_file, tmp_path):
@@ -101,10 +103,24 @@ def test_underfunded_scenario_aborts(tmp_path, capsys):
     broke["escrow_deposit"] = 10  # cannot cover the first accrual
     path = tmp_path / "broke.json"
     path.write_text(json.dumps(broke))
-    assert run_cli("run", "--config", path, "--out", tmp_path / "out") == EXIT_ABORT
+    assert run_cli("run", "--config", path, "--out", tmp_path / "o3" / "a") == EXIT_ABORT
     assert "escrow" in capsys.readouterr().err
-    # the temporary log has no name, so the aborted run leaves nothing behind
-    assert list((tmp_path / "out").iterdir()) == []
+    # the temporary log has no name, so the aborted run leaves nothing behind,
+    # not even the directories it created
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("existing", ["o3/a", "o3"], ids=["out", "parent"])
+def test_failed_run_keeps_a_directory_it_did_not_create(tmp_path, existing):
+    """Only the directories the run created are removed."""
+    broke = json.loads(json.dumps(VALID))
+    broke["escrow_deposit"] = 10
+    path = tmp_path / "broke.json"
+    path.write_text(json.dumps(broke))
+    (tmp_path / existing).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli("run", "--config", path, "--out", tmp_path / "o3" / "a") == EXIT_ABORT
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_replay_unmodified_log(config_file, tmp_path, capsys):

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import big_scenario_dict
 from test_traffic import scenarios
 from slasim.config import (
+    FLAT_RATE,
+    PER_TRAFFIC,
     DegradationWindow,
     ScenarioConfig,
     ScpScenario,
     SlaTerms,
     TrafficModel,
-    config_from_dict,
     load_config,
+    read,
     to_json,
 )
 from slasim.errors import InvalidConfig
@@ -65,7 +68,7 @@ def test_roundtrip(tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(config=scenarios(qcis=st.integers(0, 20)))
 def test_echo_reads_back(config):
-    assert config_from_dict(json.loads(json.dumps(to_json(config)))) == config
+    assert read(ScenarioConfig, json.loads(json.dumps(to_json(config)))) == config
 
 
 @pytest.mark.parametrize(
@@ -78,46 +81,136 @@ def test_every_field_is_read_by_a_check(record):
     assert unchecked == []
 
 
+def records_of(config):
+    """``(class, record)`` for ``config`` and every record it holds."""
+    yield ScenarioConfig, config
+    for scp in config.scps:
+        yield ScpScenario, scp
+        yield SlaTerms, scp.terms
+        for model in scp.traffic.values():
+            yield TrafficModel, model
+            for window in model.degradations:
+                yield DegradationWindow, window
+
+
+def test_every_record_of_the_acceptance_config_reads_back():
+    records = list(records_of(read(ScenarioConfig, big_scenario_dict())))
+    assert {cls for cls, _ in records} == {
+        ScenarioConfig, ScpScenario, SlaTerms, TrafficModel, DegradationWindow
+    }
+    for cls, record in records:
+        assert read(cls, to_json(record)) == record
+
+
+@st.composite
+def valid_terms(draw):
+    """Terms built in Python: int QCI keys and a tuple penalty rate, as callers build them."""
+    qcis = draw(st.sets(st.integers(0, 300), min_size=1, max_size=4))
+    mode = draw(st.sampled_from([PER_TRAFFIC, FLAT_RATE]))
+    priced = qcis if mode == PER_TRAFFIC else draw(st.sets(st.integers(0, 300), max_size=2))
+    amounts = st.integers(0, 2**70)
+    return SlaTerms(
+        payment_mode=mode,
+        agreed_throughput={qci: draw(amounts) for qci in qcis},
+        price_per_kb={qci: draw(amounts) for qci in priced},
+        flat_rate_per_period=draw(amounts),
+        penalty_rate=(draw(amounts), draw(st.integers(1, 2**70))),
+        strike_limit=draw(st.integers(1, 2**70)),
+    )
+
+
+# register_scp stores read(SlaTerms, to_json(terms)) and refuses terms unequal to it
+@settings(max_examples=100, deadline=None)
+@given(terms=valid_terms())
+def test_valid_terms_read_back(terms):
+    assert read(SlaTerms, to_json(terms)) == terms
+
+
+def built_in_python(data):
+    """``data``'s scenario constructed from its read providers, never read as a whole."""
+    return ScenarioConfig(**{**data, "scps": [read(ScpScenario, scp) for scp in data["scps"]]})
+
+
+def add_second_provider(data):
+    data["scps"].append(valid_dict()["scps"][0])
+
+
+def move_window_past_the_end(data):
+    data["scps"][0]["traffic"]["1"]["degradations"][0]["end"] = data["num_periods"]
+
+
+def add_unagreed_traffic(data):
+    data["scps"][0]["traffic"]["9"] = {"nominal_kb": 100}
+
+
+def agree_unmonitored_qci(data):
+    data["scps"][0]["terms"]["agreed_throughput"]["9"] = 100
+    data["scps"][0]["terms"]["price_per_kb"]["9"] = 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (add_second_provider, r"^scps\[1\]\.label: duplicate label 'scp-1'$"),
+        (move_window_past_the_end,
+         rf"^{re.escape('scps[0].traffic.1.degradations[0]: window [1, 5] outside [0, 5)')}$"),
+        (add_unagreed_traffic, r"^scps\[0\]\.traffic\.9: QCI not declared in terms$"),
+        (agree_unmonitored_qci, r"^scps\[0\]\.traffic: 'scp-1' agrees QCIs \[9\] with no"),
+    ],
+    ids=["duplicate-label", "window-past-the-end", "unagreed-traffic", "unmonitored-agreement"],
+)
+def test_scenario_built_in_python_is_checked(edit, message):
+    """A scenario's own rules hold however it is built, with the loaded scenario's message."""
+    data = valid_dict()
+    assert built_in_python(data) == read(ScenarioConfig, data)
+    edit(data)
+    with pytest.raises(InvalidConfig, match=message) as loaded:
+        read(ScenarioConfig, data)
+    with pytest.raises(InvalidConfig) as built:
+        built_in_python(data)
+    assert str(built.value) == str(loaded.value)
+
+
 def test_missing_field_is_named():
     data = valid_dict()
     del data["num_periods"]
     with pytest.raises(InvalidConfig, match="num_periods"):
-        config_from_dict(data)
+        read(ScenarioConfig, data)
 
 
 def test_window_outside_horizon_is_named():
     data = valid_dict()
     data["scps"][0]["traffic"]["1"]["degradations"][0]["end"] = 99
     with pytest.raises(InvalidConfig, match=r"degradations\[0\]"):
-        config_from_dict(data)
+        read(ScenarioConfig, data)
 
 
 def test_variability_above_one_rejected():
     data = valid_dict()
     data["scps"][0]["traffic"]["1"]["variability"] = [3, 2]
     with pytest.raises(InvalidConfig, match="variability"):
-        config_from_dict(data)
+        read(ScenarioConfig, data)
 
 
 def test_duplicate_labels_rejected():
     data = valid_dict()
     data["scps"].append(valid_dict()["scps"][0])
     with pytest.raises(InvalidConfig, match="duplicate label"):
-        config_from_dict(data)
+        read(ScenarioConfig, data)
 
 
 def test_traffic_qci_must_be_declared_in_terms():
     data = valid_dict()
     data["scps"][0]["traffic"]["9"] = {"nominal_kb": 100}
     with pytest.raises(InvalidConfig, match="QCI not declared"):
-        config_from_dict(data)
+        read(ScenarioConfig, data)
 
 
 def test_mismatched_price_and_throughput_keys():
     data = valid_dict()
     data["scps"][0]["terms"]["price_per_kb"] = {"1": 2, "5": 1}
     with pytest.raises(InvalidConfig, match="terms"):
-        config_from_dict(data)
+        read(ScenarioConfig, data)
 
 
 def test_unreadable_file(tmp_path):
@@ -182,7 +275,7 @@ def test_wrongly_typed_container_is_named(path, value, named):
         parent = parent[key]
     parent[path[-1]] = value
     with pytest.raises(InvalidConfig, match=named):
-        config_from_dict(data)
+        read(ScenarioConfig, data)
 
 
 def test_unmonitored_qci_rejected():
@@ -192,7 +285,7 @@ def test_unmonitored_qci_rejected():
     terms["agreed_throughput"]["5"] = 500
     terms["price_per_kb"]["5"] = 1
     with pytest.raises(InvalidConfig, match=r"scps\[0\]\.traffic: 'scp-1' agrees QCIs \[5\]"):
-        config_from_dict(data)
+        read(ScenarioConfig, data)
 
 
 # settlement is integer arithmetic, so every amount, rate and limit is an int
@@ -212,7 +305,7 @@ def test_non_integer_term_rejected(name, value):
     data = valid_dict()
     data["scps"][0]["terms"][name] = value
     with pytest.raises(InvalidConfig, match=rf"scps\[0\]\.terms: .*{name}"):
-        config_from_dict(data)
+        read(ScenarioConfig, data)
 
 
 # a misspelt key would otherwise load silently with the field's default
@@ -240,7 +333,7 @@ def test_unknown_key_is_named(path, key, named):
         target = target[step]
     target[key] = 1
     with pytest.raises(InvalidConfig, match=named):
-        config_from_dict(data)
+        read(ScenarioConfig, data)
 
 
 # a string is iterable, so it must not be read as a list of keys
@@ -260,4 +353,4 @@ def test_entry_that_is_not_an_object_is_named(path, value, named):
         target = target[step]
     target[path[-1]] = value
     with pytest.raises(InvalidConfig, match=named):
-        config_from_dict(data)
+        read(ScenarioConfig, data)

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import breach, entries_of, fold_of, log_state, make_flat_terms, make_terms
-from slasim import FLAT_RATE, EventKind, Ledger, SlaContract, SlaTerms
-from slasim.config import to_json
+import slasim.contract
+from slasim import FLAT_RATE, EventKind, Ledger, SlaContract, SlaTerms, config
+from slasim.config import read, to_json
 from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_replay
 from slasim.errors import (
     AlreadyDisabled,
@@ -23,6 +24,7 @@ from slasim.errors import (
     NotDisabled,
     NothingToWithdraw,
     NotOwner,
+    UnknownAddress,
     UnknownQci,
     UnknownScp,
     ZeroDeficit,
@@ -115,6 +117,37 @@ class TestRegistration:
             contract.register_scp(owner, other, make_terms(**terms))
         assert ledger.canonical_state() == state
         assert log_state(ledger) == logged
+
+    def test_stored_terms_are_read_from_the_logged_entry(self, ledger):
+        owner = ledger.create_account(0, "mno")
+        contract = SlaContract(ledger, owner)
+        scp = ledger.create_account(0, "scp-1")
+        terms = make_terms()
+        contract.register_scp(owner, scp, terms)
+        [entry] = [entry for entry in entries_of(ledger) if entry["op"] == "register_scp"]
+        stored = contract.registry[scp].terms
+        assert stored == read(SlaTerms, entry["terms"])
+        assert stored is not terms
+
+    @pytest.mark.parametrize(
+        "scp, refused",
+        [("scp-1", AlreadyRegistered), ("sla-0:escrow", ContractError), ("nobody", UnknownAddress)],
+        ids=["active", "escrow", "unknown"],
+    )
+    def test_refused_registration_reads_no_terms(self, world, monkeypatch, scp, refused):
+        ledger, contract, owner, _ = world
+        reads = []
+
+        def counted(*args):
+            reads.append(args)
+            return config.read(*args)
+
+        monkeypatch.setattr(slasim.contract, "read", counted)
+        with pytest.raises(refused):
+            contract.register_scp(owner, scp, make_terms())
+        assert reads == []
+        contract.register_scp(owner, ledger.create_account(0, "other"), make_terms())
+        assert len(reads) == 1  # the count does see a registration
 
     def test_terms_changed_after_registration_change_nothing(self, ledger):
         """The contract keeps its own copy of the terms: settlement follows the logged ones."""

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import re
 import warnings
 
 import pytest
@@ -13,7 +14,7 @@ from test_config import NON_CANONICAL_QCI_KEYS, NON_INTEGER_TERMS, valid_dict
 from test_ledger import documented_events_state
 from slasim import Ledger, SlaContract, replay
 from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_run
-from slasim.config import config_from_dict
+from slasim.config import ScenarioConfig, read
 from slasim.errors import DigestMismatch, MalformedLog
 from slasim.ledger import EventRecord
 from slasim.replay import load_txlog, replay_entries, replay_file
@@ -184,7 +185,7 @@ def test_run_log_equals_in_memory_log(tmp_path):
             assert cmd_run(str(path), str(tmp_path / name)) == code
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-    config = config_from_dict(data)
+    config = read(ScenarioConfig, data)
     ledger, contract, fold = folded_run(config, io.StringIO())
     drive(ledger, contract, config, fold)
     ledger.export_txlog(tmp_path / "in_memory.jsonl")
@@ -207,7 +208,7 @@ def test_streamed_run_equals_in_memory_run(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     assert cmd_run(str(path), str(tmp_path / "streamed")) == EXIT_OK
-    config = config_from_dict(data)
+    config = read(ScenarioConfig, data)
     ledger, contract, fold = folded_run(config, io.StringIO())
     report = drive(ledger, contract, config, fold)
     assert report.rows["scp-1"].removal_period is not None
@@ -235,7 +236,7 @@ def test_streamed_run_equals_in_memory_run(tmp_path):
 
 def driven_log(tmp_path):
     """Export the log of a drive run: scp-1 is removed in period 3 of 5."""
-    config = config_from_dict(valid_dict())
+    config = read(ScenarioConfig, valid_dict())
     ledger, contract, fold = folded_run(config, io.StringIO())
     report = drive(ledger, contract, config, fold)
     path = tmp_path / "driven.jsonl"
@@ -522,17 +523,17 @@ def one_entry_world():
 
 
 @pytest.mark.parametrize(
-    "world, count",
+    "world, count, named",
     [
-        (busy_world, 999),
-        (busy_world, "one-less"),
-        (busy_world, "missing"),
-        (busy_world, float),
-        (one_entry_world, True),
+        (busy_world, 999, False),
+        (busy_world, "one-less", False),
+        (busy_world, "missing", True),
+        (busy_world, float, True),
+        (one_entry_world, True, True),
     ],
     ids=["999", "one-less", "missing", "float", "true"],
 )
-def test_header_entry_count_is_checked(tmp_path, world, count):
+def test_header_entry_count_is_checked(tmp_path, world, count, named):
     path = tmp_path / "log.jsonl"
     world().export_txlog(path)
     lines = path.read_text().splitlines()
@@ -548,7 +549,39 @@ def test_header_entry_count_is_checked(tmp_path, world, count):
         header["entries"] = count
     lines[0] = json.dumps(header, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MalformedLog, match=f"the log holds {len(lines) - 1}"):
+    # a count that is no count is named with the header; a wrong count after the last entry
+    if named:
+        expected = f"header entries {header.get('entries')!r} is not a non-negative integer"
+    else:
+        expected = f"header counts {header['entries']} entries, the log holds {len(lines) - 1}"
+    with pytest.raises(MalformedLog, match=f"^{re.escape(expected)}$"):
+        replay_file(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("entries", "count", "header entries '{count}' is not a non-negative integer"),
+        ("entries", -1, "header entries -1 is not a non-negative integer"),
+        ("digest", 5, "header digest 5 is not a string"),
+        ("digest", None, "header digest None is not a string"),
+    ],
+    ids=["entries-string", "entries-negative", "digest-int", "digest-null"],
+)
+def test_header_is_checked_before_the_first_entry(tmp_path, field, value, message):
+    """The first entry names no operation, so only a header check can come first."""
+    path = tmp_path / "log.jsonl"
+    busy_world().export_txlog(path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    count = header["entries"]
+    header[field] = str(count) if value == "count" else value
+    lines[:2] = [json.dumps(header, sort_keys=True), json.dumps({"op": "nope"})]
+    path.write_text("\n".join(lines) + "\n")
+    expected = re.escape(message.format(count=count))
+    with pytest.raises(MalformedLog, match=f"^{expected}$"):
+        load_txlog(path)  # reads the header and no entry
+    with pytest.raises(MalformedLog, match=f"^{expected}$"):
         replay_file(path)
 
 

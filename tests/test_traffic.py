@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import entries_of, folded_run, log_state, make_terms
+from conftest import entries_of, folded_run, make_terms
 from slasim import (
     DegradationWindow,
     EventKind,
@@ -23,7 +23,6 @@ from slasim import (
     traffic,
 )
 from slasim.cli import setup_run
-from slasim.errors import InvalidConfig
 from slasim.rng import splitmix64, stream_key
 from slasim.verify import registry_matches_events
 
@@ -89,7 +88,7 @@ class TestGenerateTrace:
         assert len(set(values)) > 1
 
     def test_largest_nominal_still_runs(self):
-        # validate() admits nominal_kb up to 2**62 - 1; with full variability a
+        # the reader admits nominal_kb up to 2**62 - 1; with full variability a
         # sample reaches twice that, which still fits the trace's 64-bit values
         nominal = 2**62 - 1
         config = scenario(nominal=nominal, variability=(1, 1), agreed=0, num_periods=20,
@@ -430,24 +429,6 @@ class TestDrive:
         ledger, contract, fold = folded_run(config, io.StringIO())
         drive(ledger, contract, config, fold)
         assert entries_of(ledger) == expected
-
-    @pytest.mark.parametrize("traffic_qcis, agreed_qcis", [((1, 9), (1,)), ((1,), (1, 9))],
-                             ids=["unagreed-traffic", "unmonitored-agreement"])
-    def test_qci_not_both_monitored_and_agreed(self, traffic_qcis, agreed_qcis):
-        """A scenario built in Python, unread, is refused before the first period."""
-        terms = make_terms(agreed_throughput=dict.fromkeys(agreed_qcis, 100),
-                           price_per_kb=dict.fromkeys(agreed_qcis, 1))
-        config = ScenarioConfig(
-            seed=7, num_periods=3, escrow_deposit=10**6,
-            scps=[ScpScenario(label="scp-1", terms=terms,
-                              traffic={q: TrafficModel(nominal_kb=1000) for q in traffic_qcis})],
-        )
-        ledger, contract, fold = folded_run(config, io.StringIO())
-        state, logged = ledger.canonical_state(), log_state(ledger)
-        with pytest.raises(InvalidConfig, match=r"^streams \[\('scp-1', 9\)\] are not both"):
-            drive(ledger, contract, config, fold)
-        assert ledger.canonical_state() == state
-        assert log_state(ledger) == logged
 
     def test_run_twice_identical_reports(self):
         config = scenario(variability=(1, 3), agreed=950, num_periods=25)
