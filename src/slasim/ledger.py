@@ -11,9 +11,11 @@ keep them; a caller that wants the records passes a sink.
 The transactions are ``create_account`` and the contract's operations.  Each
 one is logged once, through ``Ledger._log``, as a single entry: its name as
 ``op`` plus its keyword arguments, so replay calls the same method with the
-same arguments.  The ledger counts every entry and writes each, as one JSON
-line, to the text file its caller passes; given none, it keeps no log, as a
-node that only re-executes a log to check it need not.  The primitives a
+same arguments.  The ledger counts every entry and writes each, as one compact
+JSON line with sorted keys, to the text file its caller passes; given none, it
+keeps no log, as a node that only re-executes a log to check it need not.
+Whitespace between JSON values carries no meaning, so a log written with
+spaces after ``,`` and ``:`` reads the same.  The primitives a
 transaction calls (``transfer``, ``append_events``, ``advance_period``) are
 not logged, just as calls made inside a smart-contract transaction are not.
 An exported log replays byte-for-byte, and the canonical state digest makes
@@ -37,8 +39,9 @@ TXLOG_FORMAT = "slasim-txlog"
 TXLOG_VERSION = 6  # 6: throughput_breach takes one period's (stream, deficit) pairs
 TXLOG_HEADER_KEYS = frozenset({"format", "version", "digest", "entries"})
 
-# One encoder for every log entry: ``json.dumps`` would build a new one per call
-_encode_entry = json.JSONEncoder(sort_keys=True).encode
+# One compact encoder for the state digest, the log header and every logged
+# value that is not a string: ``json.dumps`` would build a new one per call
+_encode_value = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class EventKind(str, Enum):
@@ -74,6 +77,19 @@ _ROW_TEMPLATES = {
     + "]],"
     for kind, names in EVENT_FIELDS.items()
 }
+
+
+def _line_template(op: str, names: Tuple[str, ...]) -> Tuple[str, Tuple[str, ...]]:
+    """The ``%`` template of ``op``'s log line, and the names in the order it takes them.
+
+    The keys are ``names`` and ``"op"``, sorted; ``op``'s value is its JSON text
+    and each name's value a ``%s``.
+    """
+    order = tuple(sorted(names))
+    values = dict.fromkeys(order, "%s")
+    values["op"] = json.dumps(op).replace("%", "%%")
+    pairs = (json.dumps(key).replace("%", "%%") + ":" + values[key] for key in sorted(values))
+    return "{" + ",".join(pairs) + "}\n", order
 
 
 class EventRecord(NamedTuple):
@@ -112,7 +128,10 @@ class Ledger:
     ) -> None:
         self.balances: Dict[str, int] = {}
         self.num_events = 0
-        self._subject_json: Dict[str, str] = {}  # each event subject's JSON text
+        self._subject_json: Dict[str, str] = {}  # each logged or event string's JSON text
+        # each op's log line template and its argument names, in the order
+        # the template takes their values, keyed by the op and the names as called
+        self._line_templates: Dict[Tuple[str, ...], Tuple[str, Tuple[str, ...]]] = {}
         self._sink = events
         self.current_period: int = 0
         self.txlog = txlog
@@ -206,12 +225,37 @@ class Ledger:
     def _log(self, op: str, **fields: object) -> None:
         """Record one transaction: its method name and its keyword arguments.
 
-        The entry is encoded here, once, as the JSON line ``export_txlog``
-        copies behind its header.
+        The entry is written here, once, as the compact JSON line
+        ``_encode_entry`` makes, which ``export_txlog`` copies behind its header.
         """
         self.num_entries += 1
         if self.txlog is not None:
-            self.txlog.write(_encode_entry({"op": op, **fields}) + "\n")
+            self.txlog.write(self._encode_entry(op, fields))
+
+    def _encode_entry(self, op: str, fields: Dict[str, object]) -> str:
+        """The entry's JSON line: ``{"op": op, **fields}``, compact, keys sorted.
+
+        The line is the op's template with each value's JSON text filled in: a
+        string's from the JSON texts the ledger keeps, any other value's from
+        the compact encoder.  The template is built on the op's first entry.
+        """
+        key = (op, *fields)
+        cached = self._line_templates.get(key)
+        if cached is None:
+            cached = self._line_templates[key] = _line_template(op, tuple(fields))
+        template, names = cached
+        texts = []
+        subject_json = self._subject_json
+        for name in names:
+            value = fields[name]
+            if isinstance(value, str):
+                text = subject_json.get(value)
+                if text is None:
+                    text = subject_json[value] = json.dumps(value)
+            else:
+                text = _encode_value(value)
+            texts.append(text)
+        return template % tuple(texts)
 
     def canonical_state(self) -> dict:
         """Deterministic, fully sorted representation of the whole world state.
@@ -232,18 +276,19 @@ class Ledger:
         }
 
     def state_digest(self) -> str:
-        blob = json.dumps(
-            self.canonical_state(), sort_keys=True, separators=(",", ":")
-        )
+        blob = _encode_value(self.canonical_state())
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def export_txlog(self, path) -> str:
         """Write the tx log as JSON lines; the header carries the state digest.
 
         The entries are already encoded in the ``txlog`` file, so they are
-        copied behind the header as they are; the ledger must have been given
-        one.  Returns the digest.
+        copied behind the header as they are.  A ledger given no ``txlog``
+        keeps no log, and raises ``ValueError`` before ``path`` is opened.
+        Returns the digest.
         """
+        if self.txlog is None:
+            raise ValueError("cannot export a transaction log: this ledger keeps no log")
         digest = self.state_digest()
         header = {
             "format": TXLOG_FORMAT,
@@ -252,7 +297,7 @@ class Ledger:
             "entries": self.num_entries,
         }
         with atomic_write(path) as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            fh.write(_encode_value(header) + "\n")
             self.txlog.seek(0)
             shutil.copyfileobj(self.txlog, fh)
         return digest

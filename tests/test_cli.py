@@ -151,7 +151,7 @@ def test_replay_tampered_traffic_batch(config_file, tmp_path):
     assert run_cli("run", "--config", config_file, "--out", out) == EXIT_OK
     log = out / TXLOG_FILE
     lines = log.read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if '"op": "record_traffic"' in line)
+    i = next(i for i, line in enumerate(lines) if json.loads(line).get("op") == "record_traffic")
     entry = json.loads(lines[i])
     entry["kb"][0] += 1
     lines[i] = json.dumps(entry, sort_keys=True)
@@ -231,12 +231,12 @@ def _csv_writer_failing_partway(fh):
 
 def _entry_encoder_failing_after(allowed):
     calls = itertools.count()
-    encode = ledger._encode_entry
+    encode = ledger.Ledger._encode_entry
 
-    def encode_or_fail(entry):
+    def encode_or_fail(self, op, fields):
         if next(calls) >= allowed:
             raise _disk_full()
-        return encode(entry)
+        return encode(self, op, fields)
 
     return encode_or_fail
 
@@ -253,7 +253,7 @@ def test_failed_write_keeps_existing_output(config_file, tmp_path, monkeypatch, 
         REPORT_CSV: (report, "csv", SimpleNamespace(writer=_csv_writer_failing_partway)),
         # each entry is written as it is logged: setup_run logs five entries and
         # the sixth, the first period's traffic, fails inside drive
-        TXLOG_FILE: (ledger, "_encode_entry", _entry_encoder_failing_after(5)),
+        TXLOG_FILE: (ledger.Ledger, "_encode_entry", _entry_encoder_failing_after(5)),
     }[target]
     monkeypatch.setattr(module, name, encoder)
     assert run_cli("run", "--config", config_file, "--out", out) == EXIT_ABORT

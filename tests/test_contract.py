@@ -303,7 +303,7 @@ class TestRecordTrafficBatch:
         kb[0] = 999
         kb.append(1)
         assert ledger.txlog.getvalue().splitlines()[-1] == (
-            '{"caller": "mno", "contract": "sla-0", "kb": [100, 0], "op": "record_traffic"}'
+            '{"caller":"mno","contract":"sla-0","kb":[100,0],"op":"record_traffic"}'
         )
 
 

@@ -8,6 +8,8 @@ import re
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import breach, entries_of, folded_run, make_flat_terms, make_terms
 from test_config import NON_CANONICAL_QCI_KEYS, NON_INTEGER_TERMS, valid_dict
@@ -41,6 +43,14 @@ def test_empty_log_replays_to_fresh_digest(tmp_path):
     path = tmp_path / "empty.jsonl"
     Ledger(io.StringIO()).export_txlog(path)
     assert replay_file(path) == Ledger().state_digest()
+
+
+def test_ledger_without_log_exports_nothing(tmp_path):
+    ledger = Ledger()
+    ledger.create_account(10, "mno")
+    with pytest.raises(ValueError, match="this ledger keeps no log"):
+        ledger.export_txlog(tmp_path / "log.jsonl")
+    assert list(tmp_path.iterdir()) == []  # neither the log nor a temporary file
 
 
 def test_roundtrip(tmp_path):
@@ -80,7 +90,7 @@ def test_tampered_deficit_is_detected(tmp_path):
     path = tmp_path / "log.jsonl"
     ledger.export_txlog(path)
     lines = path.read_text().splitlines()
-    [i] = [i for i, line in enumerate(lines) if '"op": "throughput_breach"' in line]
+    [i] = [i for i, line in enumerate(lines) if json.loads(line).get("op") == "throughput_breach"]
     entry = json.loads(lines[i])
     assert entry["breaches"] == [[0, 40]]
     entry["breaches"][0][1] += 1
@@ -160,11 +170,83 @@ def test_wire_format_is_pinned(tmp_path):
     config.write_text(json.dumps(valid_dict()))
     out = tmp_path / "out"
     assert cmd_run(str(config), str(out)) == EXIT_OK
-    assert sha256_of(out / "txlog.jsonl") == "cd9e25f59acada6d06dcb279880f3f67acaae4bb5d101559fb17f00ade02cafe"
+    assert sha256_of(out / "txlog.jsonl") == "af903522c1dc8608a4cb643793ad16d03dd77c66351d377ca5e5355f75ca9174"
     assert sha256_of(out / "report.csv") == "31d8e3dfffd1fefa528ec5d864f2387b1fff5205e94ef8b4495db6a27f9143d1"
     assert json.loads((out / "report.json").read_text())["digest"] == "b3f0d5456e375c4d4fe52ed25a10f3c3ed5cce489dc00ca9084dca3d09e2ed65"
     every_op_world().export_txlog(tmp_path / "every_op.jsonl")
-    assert sha256_of(tmp_path / "every_op.jsonl") == "2d1610333e82742349ee9894f21827104836cc102004510d1b5dbdaf0c0d54b0"
+    assert sha256_of(tmp_path / "every_op.jsonl") == "9ab53652bcb75e7c009d8d2208529c621f08e02595dcbef9cf7a3b10956a958b"
+
+
+def test_spaced_log_of_the_same_version_replays(tmp_path):
+    """A v6 log whose lines carry a space after each ``,`` and ``:`` replays the same."""
+    ledger = every_op_world()
+    path = tmp_path / "every_op.jsonl"
+    digest = ledger.export_txlog(path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+    # the bytes the ledger wrote before its lines were compact
+    assert sha256_of(spaced) == "2d1610333e82742349ee9894f21827104836cc102004510d1b5dbdaf0c0d54b0"
+    assert lines[0]["version"] == 6
+    assert replay_file(spaced) == digest
+
+
+class OracleLedger(Ledger):
+    """A ledger that also keeps each entry as ``json.dumps`` encodes the call."""
+
+    def __init__(self) -> None:
+        super().__init__(io.StringIO())
+        self.expected = []
+
+    def _log(self, op, **fields):
+        self.expected.append(
+            json.dumps({"op": op, **fields}, sort_keys=True, separators=(",", ":"))
+        )
+        super()._log(op, **fields)
+
+
+# quotes, backslashes, control characters, "%" and non-ASCII text
+LABELS = st.text(
+    st.sampled_from('"\\%\x00\x1f\n\x7f\u00e9\u2028\U0001f4e1a:'), min_size=1, max_size=6
+)
+AMOUNTS = st.integers(4, 2**63 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labels=st.lists(LABELS, min_size=3, max_size=3, unique=True),
+    contract_id=LABELS,
+    amounts=st.lists(AMOUNTS, min_size=3, max_size=3).map(sorted),
+    kb=st.integers(0, 2**63 - 1),
+    deficit=AMOUNTS,
+)
+def test_every_line_is_the_compact_json_of_its_call(labels, contract_id, amounts, kb, deficit):
+    owner_label, scp_label, other_label = labels
+    assume(f"{contract_id}:escrow" not in labels)
+    least, deposit, balance = amounts
+    rate = min(least, deposit // 4)  # the escrow covers two periods' payouts
+    ledger = OracleLedger()
+    owner = ledger.create_account(balance, owner_label)
+    contract = SlaContract(ledger, owner, contract_id=contract_id)
+    scp = ledger.create_account(0, scp_label)
+    other = ledger.create_account(0, other_label)
+    contract.register_scp(owner, scp, make_flat_terms(rate))
+    contract.register_scp(owner, other, make_flat_terms(rate))
+    contract.deposit(owner, deposit)
+    contract.record_traffic(owner, [kb] * contract.num_streams)
+    contract.close_period(owner)
+    contract.withdraw(scp)
+    contract.record_traffic(owner, [kb] * contract.num_streams)
+    breach(contract, scp, 1, deficit)
+    contract.close_period(owner)
+    contract.failsafe_disable(owner)
+    contract.recover_escrow(owner)
+    lines = ledger.txlog.getvalue().split("\n")
+    assert lines.pop() == ""
+    assert lines == ledger.expected
+    logged = {json.loads(line)["op"] for line in lines}
+    assert logged == replay.CONTRACT_OPS | {"create_contract", "create_account"}
+    assert replay_entries(map(json.loads, lines)).state_digest() == ledger.state_digest()
 
 
 def test_run_log_equals_in_memory_log(tmp_path):
@@ -666,7 +748,7 @@ def test_log_rejected_partway_is_closed(tmp_path, monkeypatch, fault):
     path = tmp_path / "log.jsonl"
     busy_world().export_txlog(path)
     lines = path.read_text().splitlines()
-    deposit = next(i for i, line in enumerate(lines) if '"op": "deposit"' in line)
+    deposit = next(i for i, line in enumerate(lines) if json.loads(line).get("op") == "deposit")
     if fault == "rejected-op":  # more than the owner holds
         entry = json.loads(lines[deposit])
         entry["amount"] = 10**9
