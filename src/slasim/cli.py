@@ -20,7 +20,7 @@ from itertools import takewhile
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, load_config, to_json
 from .contract import SlaContract
 from .errors import ContractError, DigestMismatch, DuplicateAddress, InvalidConfig, MalformedLog
 from .ledger import EventSink, Ledger
@@ -60,7 +60,7 @@ def setup_run(
     contract = SlaContract(ledger, owner)
     for scp in config.scps:
         address = ledger.create_account(0, scp.label)
-        contract.register_scp(owner, address, scp.terms)
+        contract.register_scp(owner, address, to_json(scp.terms))
     contract.deposit(owner, config.escrow_deposit)
     return ledger, contract
 
@@ -97,9 +97,9 @@ def _run_into(out: Path, config: ScenarioConfig) -> int:
         with tempfile.TemporaryFile("w+", encoding="utf-8", dir=out) as txlog:
             ledger, contract = setup_run(config, txlog, fold.add)
             report = drive(ledger, contract, config, fold)
+            report.digest = ledger.export_txlog(out / TXLOG_FILE)
             report.write_json(out / REPORT_JSON)
             report.write_csv(out / REPORT_CSV)
-            ledger.export_txlog(out / TXLOG_FILE)
     except DuplicateAddress as exc:  # an SCP label taken by the owner or the escrow
         _diag(f"invalid config: {exc}")
         return EXIT_INVALID

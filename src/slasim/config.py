@@ -80,6 +80,16 @@ def read(cls, raw: object, where: str = ""):
         raise InvalidConfig(f"{where}{exc}") from None
 
 
+def unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """``json``'s ``object_pairs_hook`` for every reader: an object that names a
+    key twice is refused, as readers disagree on which value it keeps (RFC 8259 §4)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def to_json(value):
     """A record's JSON echo: fields by name, QCI keys as strings, pairs as arrays."""
     kind = type(value)
@@ -289,10 +299,11 @@ def load_config(path, seed: Optional[int] = None) -> ScenarioConfig:
     """Read a scenario file; a given ``seed`` replaces the file's before it is checked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise InvalidConfig(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # bad syntax or UTF-8, a duplicate key, an integer over 4,300 digits, deep nesting
+    except (ValueError, RecursionError) as exc:
         raise InvalidConfig(f"{path} is not valid JSON: {exc}") from exc
     if seed is not None and type(data) is dict:
         data["seed"] = seed

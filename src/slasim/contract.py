@@ -43,7 +43,6 @@ from .errors import (
     ContractError,
     InactiveScp,
     InsufficientEscrowForAccrual,
-    InvalidConfig,
     NotDisabled,
     NothingToWithdraw,
     NotOwner,
@@ -60,6 +59,7 @@ class ScpRecord:
 
     address: str
     terms: SlaTerms
+    logged_terms: dict  # the terms' JSON echo as logged; the digest's copy of them
     active: bool = True
     credit: int = 0  # signed; negative = debt
     consecutive_strikes: int = 0
@@ -88,7 +88,7 @@ class ScpRecord:
             "consecutive_strikes": self.consecutive_strikes,
             "breached_this_period": self.breached_this_period,
             "served": {str(qci): kb for qci, kb in self.served.items()},  # QCIs ascending
-            "terms": to_json(self.terms),
+            "terms": self.logged_terms,
         }
 
 
@@ -138,7 +138,7 @@ class SlaContract:
 
     # --- registration and funding -------------------------------------------
 
-    def register_scp(self, caller: str, scp: str, terms: SlaTerms) -> None:
+    def register_scp(self, caller: str, scp: str, terms: dict) -> None:
         self._require_owner(caller)
         self._require_enabled()
         self.ledger.balance(scp)
@@ -149,14 +149,11 @@ class SlaContract:
         existing = self.registry.get(scp)
         if existing is not None and existing.active:
             raise AlreadyRegistered(f"{scp!r} is already active in the register")
-        # the contract stores the terms it reads from its own log entry, as a
-        # contract on a chain stores what it decodes from its transaction's input
-        logged = to_json(terms)
-        stored = read(SlaTerms, logged)
-        if stored != terms:  # a value read back as another, such as [5, 1] as (5, 1)
-            name = next(n for n in vars(stored) if getattr(stored, n) != getattr(terms, n))
-            raise InvalidConfig(f"{name}: {getattr(terms, name)!r} is not the value it is read as")
-        self.registry[scp] = ScpRecord(address=scp, terms=stored)
+        # ``terms`` is call data, the terms' JSON object: read once, as a contract
+        # on a chain decodes its transaction's input, and kept only as read
+        stored = read(SlaTerms, terms, "terms: ")
+        logged = to_json(stored)
+        self.registry[scp] = ScpRecord(address=scp, terms=stored, logged_terms=logged)
         if existing is not None:
             # removed providers may re-enter under fresh terms; the old record
             # is archived with its credit/debt frozen, never merged

@@ -77,8 +77,7 @@ class NotDisabled(ContractError):
 
 class InvalidConfig(SimError, ValueError):
     """A JSON record or SLA term that does not read; a ``ValueError`` too, so
-    replay reports a bad logged term as bad fields, and ``register_scp``
-    rejects bad terms built in Python with the ``ValueError`` it always raised."""
+    replay reports a bad logged term as bad fields."""
 
 
 class DigestMismatch(SimError):

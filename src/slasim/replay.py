@@ -16,12 +16,12 @@ import json
 from contextlib import closing
 from typing import Iterable, Iterator, Tuple
 
-from .config import SlaTerms, read
+from .config import unique_keys
 from .contract import SlaContract
 from .errors import DigestMismatch, MalformedLog, SimError
 from .ledger import TXLOG_FORMAT, TXLOG_HEADER_KEYS, TXLOG_VERSION, Ledger
 
-_raw_decode = json.JSONDecoder().raw_decode
+_raw_decode = json.JSONDecoder(object_pairs_hook=unique_keys).raw_decode
 
 # SlaContract methods a log entry may name.  Each is looked up on the contract
 # when its entry is replayed, not bound here, so a wrapper installed on the
@@ -47,14 +47,15 @@ def _read_log(path) -> Iterator[dict]:
     before any entry is read, so a misspelt key or a bad count is not replayed past.
 
     The file stays open until the last entry is read or the generator is
-    closed; a bad line is reported when iteration reaches it.
+    closed; a bad line is reported, by its number, when iteration reaches it.
     """
+    number = 1  # of the line being decoded
     try:
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()
             if not first:
                 raise MalformedLog("empty transaction log file")
-            header = json.loads(first)
+            header = json.loads(first, object_pairs_hook=unique_keys)
             if not isinstance(header, dict) or header.get("format") != TXLOG_FORMAT:
                 raise MalformedLog("missing or unrecognized transaction log header")
             for key in header:
@@ -72,16 +73,19 @@ def _read_log(path) -> Iterator[dict]:
             if type(entries) is not int or entries < 0:
                 raise MalformedLog(f"header entries {entries!r} is not a non-negative integer")
             yield header
-            for line in fh:
+            for number, line in enumerate(fh, 2):
                 try:  # the C scanner alone, for a line that is one value and its newline
                     entry, end = _raw_decode(line)
                     whole = line[end:] in ("\n", "")
                 except json.JSONDecodeError:
                     whole = False
                 if whole or line.strip():  # any other line takes json.loads's verdict
-                    yield entry if whole else json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    yield entry if whole else json.loads(line, object_pairs_hook=unique_keys)
+    except UnicodeDecodeError as exc:  # the file is decoded a block at a time, not by line
         raise MalformedLog(f"invalid JSON in transaction log: {exc}") from exc
+    # bad syntax, a duplicate key, an integer over 4,300 digits, deep nesting
+    except (ValueError, RecursionError) as exc:
+        raise MalformedLog(f"invalid JSON in transaction log: line {number}: {exc}") from exc
     except OSError as exc:
         raise MalformedLog(f"cannot read {path}: {exc}") from exc
 
@@ -102,11 +106,11 @@ def replay_entries(entries: Iterable[dict]) -> Ledger:
 
     ``create_contract`` constructs a contract, which attaches itself to
     ``ledger.contracts``; every other entry calls the method it names with its
-    remaining fields as keyword arguments.  The entries are consumed: ``op``
-    and ``contract`` are popped from each, and ``terms`` is replaced by the
-    terms it decodes to.  The returned ledger holds the rebuilt state and, as
-    every ledger does, no events; it was given no log file, so it counts its
-    entries in ``num_entries`` but keeps none.
+    remaining fields, as logged, as keyword arguments.  The entries are
+    consumed: ``op`` and ``contract`` are popped from each.  The returned
+    ledger holds the rebuilt state and, as every ledger does, no events; it
+    was given no log file, so it counts its entries in ``num_entries`` but
+    keeps none.
     """
     ledger = Ledger()
     for pos, fields in enumerate(entries):
@@ -126,8 +130,6 @@ def replay_entries(entries: Iterable[dict]) -> Ledger:
                     raise MalformedLog(f"operation references unknown contract {cid!r}")
             else:
                 raise MalformedLog(f"entry {pos}: unknown operation {op!r}")
-            if "terms" in fields:
-                fields["terms"] = read(SlaTerms, fields["terms"])
             getattr(target, op)(**fields)
         except MalformedLog:
             raise

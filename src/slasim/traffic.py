@@ -110,7 +110,8 @@ def drive(
     and is checked against the registered agreed levels.  After the last
     period, every provider with positive credit withdraws.  The report's rows
     are those of ``fold``, a ``RowFold`` that has seen every event of the
-    ledger, as it does when ``fold.add`` is the ledger's event sink.
+    ledger, as it does when ``fold.add`` is the ledger's event sink.  The
+    caller sets the report's ``digest`` when it exports the log.
     Propagates contract errors (notably InsufficientEscrowForAccrual).
     """
     trace = generate_trace(config)
@@ -149,5 +150,4 @@ def drive(
         total_withdrawn=contract.total_withdrawn,
         total_recovered=contract.total_recovered,
         num_events=ledger.num_events,
-        digest=ledger.state_digest(),
     )

@@ -1,12 +1,10 @@
 """Built-in verification suites: strike-rule oracle, conservation and
-liveness fuzz, and a check of the live registry against the event log.
+liveness fuzz.
 
 These are the independent cross-checks behind the ``verify`` CLI command and
 the acceptance tests.  The strike oracle deliberately knows nothing about the
 contract implementation: it is a plain counter over breach/clean period
-sequences.  The event-log check reads the log through the fold that builds
-report rows (:class:`slasim.report.RowFold`, the ledger's event sink), so it
-also checks that the report's numbers follow from the events.
+sequences.
 """
 
 from __future__ import annotations
@@ -16,11 +14,10 @@ from contextlib import suppress
 from itertools import product
 from typing import Dict, Optional, Sequence, Tuple
 
-from .config import PER_TRAFFIC, SlaTerms
+from .config import PER_TRAFFIC
 from .contract import SlaContract
 from .errors import ContractError
 from .ledger import Ledger
-from .report import RowFold
 
 
 # --- 3-strike oracle ---------------------------------------------------------
@@ -43,13 +40,13 @@ def contract_removal_period(seq: Sequence[bool], limit: int = 3) -> Optional[int
     ledger = Ledger()
     owner = ledger.create_account(10_000, "mno")
     contract = SlaContract(ledger, owner)
-    terms = SlaTerms(
-        payment_mode=PER_TRAFFIC,
-        agreed_throughput={1: 100},
-        price_per_kb={1: 0},
-        penalty_rate=(1, 1),
-        strike_limit=limit,
-    )
+    terms = {
+        "payment_mode": PER_TRAFFIC,
+        "agreed_throughput": {"1": 100},
+        "price_per_kb": {"1": 0},
+        "penalty_rate": [1, 1],
+        "strike_limit": limit,
+    }
     scp = ledger.create_account(0, "scp")
     contract.register_scp(owner, scp, terms)
     contract.deposit(owner, 10_000)
@@ -92,33 +89,6 @@ def check_strike_equivalence(max_len: int, limit: int = 3) -> Optional[dict]:
     return None
 
 
-# --- event-log cross-check ---------------------------------------------------
-
-def registry_matches_events(contract: SlaContract, fold: RowFold) -> Optional[str]:
-    """None if the live registry agrees with ``fold``, the report fold of the event log.
-
-    ``fold`` must have seen every event of the ledger, as the ledger's sink
-    ``fold.add`` does.  Compares each provider's credit, strikes and active
-    flag.  A period-boundary check, as every caller uses it: strikes are read
-    off the timeline, which records the count at each close.
-    """
-    rows = fold.rows(contract.ledger.current_period)
-    state = "credit={} strikes={} active={}"
-    for addr, record in contract.registry.items():
-        row = rows.get(addr)
-        if row is None:
-            return f"{addr!r} registered but absent from events"
-        strikes = row.strikes_timeline[-1] if row.strikes_timeline else 0
-        events_say = (row.final_credit, strikes, row.removal_period is None)
-        registry_says = (record.credit, record.consecutive_strikes, record.active)
-        if events_say != registry_says:
-            return (
-                f"{addr!r}: events say {state.format(*events_say)}, "
-                f"registry says {state.format(*registry_says)}"
-            )
-    return None
-
-
 # --- conservation fuzz -------------------------------------------------------
 
 def _conservation_holds(contract: SlaContract) -> bool:
@@ -143,13 +113,13 @@ def conservation_fuzz(num_ops: int, seed: int = 0) -> Optional[dict]:
     ledger = Ledger()
     owner = ledger.create_account(10**12, "mno")
     contract = SlaContract(ledger, owner)
-    terms = SlaTerms(
-        payment_mode=PER_TRAFFIC,
-        agreed_throughput={1: 1_000, 2: 500},
-        price_per_kb={1: 2, 2: 3},
-        penalty_rate=(rng.randrange(1, 7), rng.randrange(1, 4)),
-        strike_limit=3,
-    )
+    terms = {
+        "payment_mode": PER_TRAFFIC,
+        "agreed_throughput": {"1": 1_000, "2": 500},
+        "price_per_kb": {"1": 2, "2": 3},
+        "penalty_rate": [rng.randrange(1, 7), rng.randrange(1, 4)],
+        "strike_limit": 3,
+    }
     scps = [ledger.create_account(0, f"scp-{i}") for i in range(6)]
     streams = list(product(scps, [1, 2]))
     for scp in scps:

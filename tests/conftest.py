@@ -1,10 +1,12 @@
 import io
 import json
+from typing import Optional
 
 import pytest
 
 from slasim import FLAT_RATE, PER_TRAFFIC, Ledger, SlaContract, SlaTerms
 from slasim.cli import setup_run
+from slasim.config import to_json
 from slasim.report import RowFold
 
 
@@ -67,6 +69,31 @@ def fold_of(events):
     return fold
 
 
+def registry_matches_events(contract: SlaContract, fold: RowFold) -> Optional[str]:
+    """None if the live registry agrees with ``fold``, the report fold of the event log.
+
+    ``fold`` must have seen every event of the ledger, as the ledger's sink
+    ``fold.add`` does.  Compares each provider's credit, strikes and active
+    flag.  A period-boundary check, as every caller uses it: strikes are read
+    off the timeline, which records the count at each close.
+    """
+    rows = fold.rows(contract.ledger.current_period)
+    state = "credit={} strikes={} active={}"
+    for addr, record in contract.registry.items():
+        row = rows.get(addr)
+        if row is None:
+            return f"{addr!r} registered but absent from events"
+        strikes = row.strikes_timeline[-1] if row.strikes_timeline else 0
+        events_say = (row.final_credit, strikes, row.removal_period is None)
+        registry_says = (record.credit, record.consecutive_strikes, record.active)
+        if events_say != registry_says:
+            return (
+                f"{addr!r}: events say {state.format(*events_say)}, "
+                f"registry says {state.format(*registry_says)}"
+            )
+    return None
+
+
 def entries_of(ledger):
     """The entries ``ledger`` has written to its in-memory log, freshly decoded."""
     return [json.loads(line) for line in ledger.txlog.getvalue().splitlines()]
@@ -95,6 +122,6 @@ def world(ledger):
     owner = ledger.create_account(1_000_000, "mno")
     contract = SlaContract(ledger, owner)
     scp = ledger.create_account(0, "scp-1")
-    contract.register_scp(owner, scp, make_terms())
+    contract.register_scp(owner, scp, to_json(make_terms()))
     contract.deposit(owner, 500_000)
     return ledger, contract, owner, scp

@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from conftest import breach, folded_run, make_terms
+from conftest import breach, folded_run, make_terms, registry_matches_events
 from slasim import Ledger, SlaContract, verify
 from slasim.cli import (
     FUZZ_OPS,
@@ -21,12 +21,12 @@ from slasim.cli import (
     cmd_replay,
     cmd_run,
 )
+from slasim.config import to_json
 from slasim.errors import ContractDisabled, InsufficientEscrowForAccrual, NothingToWithdraw
 from slasim.traffic import drive
 from slasim.verify import (
     check_strike_equivalence,
     conservation_fuzz,
-    registry_matches_events,
     strike_oracle_removal_period,
 )
 
@@ -169,7 +169,7 @@ def test_withdrawal_pattern():
     owner = ledger.create_account(100_000, "mno")
     contract = SlaContract(ledger, owner)
     scp = ledger.create_account(0, "scp-1")
-    contract.register_scp(owner, scp, make_terms())
+    contract.register_scp(owner, scp, to_json(make_terms()))
     contract.deposit(owner, 100_000)
     contract.record_traffic(owner, [1000, 0])
     contract.close_period(owner)
@@ -306,14 +306,14 @@ def test_failsafe_semantics():
     owner = ledger.create_account(10_000, "mno")
     contract = SlaContract(ledger, owner)
     scp = ledger.create_account(0, "scp-1")
-    contract.register_scp(owner, scp, make_terms())
+    contract.register_scp(owner, scp, to_json(make_terms()))
     contract.deposit(owner, 10_000)
     contract.record_traffic(owner, [150, 0])  # accrues 300
     contract.close_period(owner)
     contract.failsafe_disable(owner)
 
     mutators = [
-        lambda: contract.register_scp(owner, "x", make_terms()),
+        lambda: contract.register_scp(owner, "x", to_json(make_terms())),
         lambda: contract.deposit(owner, 1),
         lambda: contract.record_traffic(owner, [1, 0]),
         lambda: breach(contract, scp, 1, 1),

@@ -165,6 +165,44 @@ def test_replay_garbage_log(tmp_path):
     assert run_cli("replay", "--log", log) == EXIT_INVALID
 
 
+# damaged copies of one JSON object's text: a value ``json`` cannot hold, or a
+# key named twice (the line's pairs repeated, so its first key comes first)
+HOSTILE_JSON = {
+    "deep-nesting": lambda text: "[" * 100_000,
+    "long-integer": lambda text: text[:-1] + ',"x":' + "9" * 5_000 + "}",
+    "duplicate-key": lambda text: text[:-1] + "," + text[1:],
+}
+
+
+@pytest.mark.parametrize("hostile", sorted(HOSTILE_JSON))
+@pytest.mark.parametrize("where", ["header", "entry", "config"])
+def test_hostile_json_is_refused_in_one_line(config_file, tmp_path, capsys, where, hostile):
+    """Each reader refuses it with exit 1 and one line of stderr, naming the
+    log's line or the config file, and a duplicated key; never a traceback."""
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", config_file, "--out", out) == EXIT_OK
+    capsys.readouterr()
+    if where == "config":
+        original = config_file.read_text()
+        config_file.write_text(HOSTILE_JSON[hostile](original))
+        args = ("run", "--config", config_file, "--out", tmp_path / "again")
+        prefix, named = "invalid config: ", str(config_file)
+    else:
+        log = out / TXLOG_FILE
+        lines = log.read_text().splitlines()
+        i = 0 if where == "header" else 2
+        original, lines[i] = lines[i], HOSTILE_JSON[hostile](lines[i])
+        log.write_text("\n".join(lines) + "\n")
+        args = ("replay", "--log", log)
+        prefix, named = "malformed log: ", f"line {i + 1}: "
+    assert run_cli(*args) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
+    if hostile == "duplicate-key":
+        assert f"duplicate key {next(iter(json.loads(original)))!r}" in err
+
+
 def test_verify_passes(capsys):
     assert run_cli("verify", "--bound", 6) == EXIT_OK
     err = capsys.readouterr().err

@@ -119,7 +119,7 @@ def valid_terms(draw):
     )
 
 
-# register_scp stores read(SlaTerms, to_json(terms)) and refuses terms unequal to it
+# setup_run registers each provider's to_json(terms), which register_scp reads back
 @settings(max_examples=100, deadline=None)
 @given(terms=valid_terms())
 def test_valid_terms_read_back(terms):

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import breach, entries_of, fold_of, log_state, make_flat_terms, make_terms
+from conftest import (
+    breach,
+    entries_of,
+    fold_of,
+    log_state,
+    make_flat_terms,
+    make_terms,
+    registry_matches_events,
+)
 import slasim.contract
 from slasim import FLAT_RATE, EventKind, Ledger, SlaContract, SlaTerms, config
 from slasim.config import read, to_json
@@ -21,6 +29,7 @@ from slasim.errors import (
     InsufficientEscrowForAccrual,
     InactiveScp,
     InsufficientFunds,
+    InvalidConfig,
     NotDisabled,
     NothingToWithdraw,
     NotOwner,
@@ -31,7 +40,7 @@ from slasim.errors import (
 )
 from slasim.ledger import EVENT_FIELDS
 from slasim.replay import replay_entries
-from slasim.verify import registry_matches_events, strike_oracle_removal_period
+from slasim.verify import strike_oracle_removal_period
 
 
 def status(contract, scp):
@@ -64,7 +73,7 @@ class TestRegistration:
         SlaContract(ledger, owner)
         state, logged = ledger.canonical_state(), log_state(ledger)
         with pytest.raises(ContractError, match=f"escrow account '{escrow}'"):
-            contract.register_scp(owner, escrow, make_terms())
+            contract.register_scp(owner, escrow, to_json(make_terms()))
         assert ledger.canonical_state() == state
         assert log_state(ledger) == logged
 
@@ -73,13 +82,13 @@ class TestRegistration:
         intruder = ledger.create_account(0, "intruder")
         other = ledger.create_account(0, "other")
         with pytest.raises(NotOwner):
-            contract.register_scp(intruder, other, make_terms())
+            contract.register_scp(intruder, other, to_json(make_terms()))
         assert other not in contract.registry
 
     def test_double_registration_rejected(self, world):
         _, contract, owner, scp = world
         with pytest.raises(AlreadyRegistered):
-            contract.register_scp(owner, scp, make_terms())
+            contract.register_scp(owner, scp, to_json(make_terms()))
 
     def test_reregistration_after_removal_starts_fresh(self, world):
         _, contract, owner, scp = world
@@ -87,7 +96,7 @@ class TestRegistration:
             breach(contract, scp, 1, 10)
             contract.close_period(owner)
         assert status(contract, scp) == (False, -150, 3)
-        contract.register_scp(owner, scp, make_terms())
+        contract.register_scp(owner, scp, to_json(make_terms()))
         assert status(contract, scp) == (True, 0, 0)
         # the removed record is archived, not merged
         assert len(contract.archived) == 1
@@ -97,37 +106,39 @@ class TestRegistration:
         "terms, named",
         [
             (dict(strike_limit=0), "strike_limit"),
-            (dict(penalty_rate=(1.5, 1)), "penalty_rate"),
-            (dict(penalty_rate=[5, 1]), "penalty_rate"),
+            (dict(penalty_rate=[1.5, 1]), "penalty_rate"),
+            (dict(penalty_rate=(5, 1)), "penalty_rate"),
             (dict(flat_rate_per_period=True), "flat_rate_per_period"),
+            (dict(strike_limit=True), "strike_limit"),
             (dict(payment_mode="per_kb"), "payment_mode"),
-            (dict(agreed_throughput={1: 1000, 5: -1}), "agreed_throughput"),
-            (dict(agreed_throughput={"1": 1000, "5": 500}, price_per_kb={"1": 2, "5": 1}),
+            (dict(agreed_throughput={"1": 1000, "5": -1}), "agreed_throughput"),
+            (dict(agreed_throughput={1: 1000, 5: 500}, price_per_kb={1: 2, 5: 1}),
              "agreed_throughput"),
-            (dict(agreed_throughput={-1: 1000}, price_per_kb={-1: 2}), "agreed_throughput"),
+            (dict(agreed_throughput={"-1": 1000}, price_per_kb={"-1": 2}), "agreed_throughput"),
         ],
-        ids=["zero-strike-limit", "float-rate", "rate-list", "bool-flat-rate", "unknown-mode",
-             "negative-level", "string-qci", "negative-qci"],
+        ids=["zero-strike-limit", "float-rate", "rate-tuple", "bool-flat-rate",
+             "bool-strike-limit", "unknown-mode", "negative-level", "int-qci", "negative-qci"],
     )
     def test_terms_built_in_python_are_checked(self, world, terms, named):
+        """Terms are the JSON object the reader reads: a Python value that is
+        not that JSON, such as a tuple or an int key, is refused by name."""
         ledger, contract, owner, _ = world
         other = ledger.create_account(0, "other")
         state, logged = ledger.canonical_state(), log_state(ledger)
-        with pytest.raises(ValueError, match=rf"^{named}[.:]"):
-            contract.register_scp(owner, other, make_terms(**terms))
+        with pytest.raises(InvalidConfig, match=rf"^terms: {named}[.:]"):
+            contract.register_scp(owner, other, {**to_json(make_terms()), **terms})
         assert ledger.canonical_state() == state
         assert log_state(ledger) == logged
 
-    def test_stored_terms_are_read_from_the_logged_entry(self, ledger):
+    def test_logged_terms_are_the_records_echo_and_its_digest_state(self, ledger):
         owner = ledger.create_account(0, "mno")
         contract = SlaContract(ledger, owner)
         scp = ledger.create_account(0, "scp-1")
-        terms = make_terms()
-        contract.register_scp(owner, scp, terms)
+        contract.register_scp(owner, scp, to_json(make_terms()))
         [entry] = [entry for entry in entries_of(ledger) if entry["op"] == "register_scp"]
-        stored = contract.registry[scp].terms
-        assert stored == read(SlaTerms, entry["terms"])
-        assert stored is not terms
+        record = contract.registry[scp]
+        assert entry["terms"] == record.logged_terms == record.canonical_state()["terms"]
+        assert record.terms == read(SlaTerms, entry["terms"])
 
     @pytest.mark.parametrize(
         "scp, refused",
@@ -144,9 +155,9 @@ class TestRegistration:
 
         monkeypatch.setattr(slasim.contract, "read", counted)
         with pytest.raises(refused):
-            contract.register_scp(owner, scp, make_terms())
+            contract.register_scp(owner, scp, to_json(make_terms()))
         assert reads == []
-        contract.register_scp(owner, ledger.create_account(0, "other"), make_terms())
+        contract.register_scp(owner, ledger.create_account(0, "other"), to_json(make_terms()))
         assert len(reads) == 1  # the count does see a registration
 
     def test_terms_changed_after_registration_change_nothing(self, ledger):
@@ -154,10 +165,15 @@ class TestRegistration:
         owner = ledger.create_account(10_000, "mno")
         contract = SlaContract(ledger, owner)
         scp = ledger.create_account(0, "scp-1")
-        terms = make_terms(agreed_throughput={1: 1000, 2: 500}, price_per_kb={1: 1, 2: 2})
+        terms = to_json(
+            make_terms(agreed_throughput={1: 1000, 2: 500}, price_per_kb={1: 1, 2: 2})
+        )
         contract.register_scp(owner, scp, terms)
         contract.deposit(owner, 10_000)
-        terms.price_per_kb[1] = 50
+        digest = ledger.state_digest()
+        terms["price_per_kb"]["1"] = 50
+        terms["strike_limit"] = 1
+        assert ledger.state_digest() == digest
         contract.record_traffic(owner, [100, 100])
         contract.close_period(owner)
         assert contract.registry[scp].credit == 1 * 100 + 2 * 100
@@ -228,8 +244,8 @@ class TestRecordTrafficBatch:
         """scp-1 (QCIs 1 and 5) active with traffic this period; scp-2 (QCI 1) removed."""
         ledger, contract, owner, scp = world
         other = ledger.create_account(0, "scp-2")
-        contract.register_scp(owner, other, make_terms(agreed_throughput={1: 1000},
-                                                       price_per_kb={1: 2}))
+        contract.register_scp(owner, other, to_json(make_terms(agreed_throughput={1: 1000},
+                                                       price_per_kb={1: 2})))
         for _ in range(3):
             breach(contract, other, 1, 1)
             contract.close_period(owner)
@@ -277,7 +293,8 @@ class TestRecordTrafficBatch:
             owner = ledger.create_account(100_000, "mno")
             contract = SlaContract(ledger, owner)
             for label in ("scp-1", "scp-2"):
-                contract.register_scp(owner, ledger.create_account(0, label), make_terms())
+                scp = ledger.create_account(0, label)
+                contract.register_scp(owner, scp, to_json(make_terms()))
             contract.deposit(owner, 100_000)
             vectors = [[0] * 4 for _ in samples]
             for vector, (column, kb) in zip(vectors, samples):
@@ -318,15 +335,17 @@ def stream_world(stage):
     contract = SlaContract(ledger, owner)
     b = ledger.create_account(0, "scp-b")
     a = ledger.create_account(0, "scp-a")
-    contract.register_scp(owner, b, make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2}))
-    contract.register_scp(owner, a, make_terms(strike_limit=1))
+    contract.register_scp(
+        owner, b, to_json(make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2}))
+    )
+    contract.register_scp(owner, a, to_json(make_terms(strike_limit=1)))
     contract.deposit(owner, 100_000)
     if stage != "fresh":
         breach(contract, a, 1, 1)
         contract.close_period(owner)
     if stage == "a-reregistered":
         contract.register_scp(
-            owner, a, make_terms(agreed_throughput={7: 10, 2: 10}, price_per_kb={7: 1, 2: 1})
+            owner, a, to_json(make_terms(agreed_throughput={7: 10, 2: 10}, price_per_kb={7: 1, 2: 1}))
         )
     return ledger, contract, owner
 
@@ -422,7 +441,7 @@ class TestClosePeriod:
         owner = ledger.create_account(10_000, "mno")
         contract = SlaContract(ledger, owner)
         scp = ledger.create_account(0, "scp-f")
-        contract.register_scp(owner, scp, make_flat_terms(rate=500))
+        contract.register_scp(owner, scp, to_json(make_flat_terms(rate=500)))
         contract.deposit(owner, 10_000)
         contract.record_traffic(owner, [123_456])
         contract.close_period(owner)
@@ -439,12 +458,12 @@ class TestClosePeriod:
         contract = SlaContract(ledger, owner)
         addresses = ["scp-c", "scp-a", "scp-d", "scp-b"]
         for address in addresses:
-            contract.register_scp(owner, ledger.create_account(0, address), make_terms())
+            contract.register_scp(owner, ledger.create_account(0, address), to_json(make_terms()))
         contract.deposit(owner, 10_000)
         for _ in range(3):  # scp-d is removed, then re-registered in place
             breach(contract, "scp-d", 1, 1)
             contract.close_period(owner)
-        contract.register_scp(owner, "scp-d", make_terms())
+        contract.register_scp(owner, "scp-d", to_json(make_terms()))
         contract.close_period(owner)
         assert list(contract.registry) == sorted(addresses)
         payouts = [e for e in events if e.kind is EventKind.PERIODIC_PAYOUT]
@@ -462,7 +481,7 @@ class TestClosePeriod:
         owner = ledger.create_account(1000, "mno")
         contract = SlaContract(ledger, owner)
         scp = ledger.create_account(0, "scp-1")
-        contract.register_scp(owner, scp, make_terms())
+        contract.register_scp(owner, scp, to_json(make_terms()))
         contract.deposit(owner, 100)
         contract.record_traffic(owner, [1000, 0])  # would accrue 2000
         with pytest.raises(InsufficientEscrowForAccrual):
@@ -481,9 +500,9 @@ class TestClosePeriod:
         owner = ledger.create_account(1_000_000, "mno")
         contract = SlaContract(ledger, owner)
         a, b, c = (ledger.create_account(0, label) for label in ("a", "b", "c"))
-        contract.register_scp(owner, a, make_terms(strike_limit=1))
-        contract.register_scp(owner, b, make_terms(strike_limit=1))
-        contract.register_scp(owner, c, make_terms())
+        contract.register_scp(owner, a, to_json(make_terms(strike_limit=1)))
+        contract.register_scp(owner, b, to_json(make_terms(strike_limit=1)))
+        contract.register_scp(owner, c, to_json(make_terms()))
         contract.deposit(owner, 3000)
         # streams: (a, 1), (a, 5), (b, 1), (b, 5), (c, 1), (c, 5)
         contract.record_traffic(owner, [1000, 0, 0, 0, 0, 0])  # price 2/kb: pays a 2000
@@ -491,7 +510,7 @@ class TestClosePeriod:
         contract.close_period(owner)
         for scp in (a, b):  # penalty 5/kb: debit 50, removed at the first strike
             breach(contract, scp, 1, 10)
-        contract.register_scp(owner, b, make_terms())  # archives b's credit 950
+        contract.register_scp(owner, b, to_json(make_terms()))  # archives b's credit 950
         # streams: (b, 1), (b, 5), (c, 1), (c, 5)
         contract.record_traffic(owner, [100, 0, 0, 0])  # the fresh record earns 200
         breach(contract, c, 1, 100)  # debit 500
@@ -536,7 +555,7 @@ class TestThroughputBreach:
         owner = ledger.create_account(10_000, "mno")
         contract = SlaContract(ledger, owner)
         scp = ledger.create_account(0, "scp-1")
-        contract.register_scp(owner, scp, make_terms(penalty_rate=(1, 3)))
+        contract.register_scp(owner, scp, to_json(make_terms(penalty_rate=(1, 3))))
         contract.deposit(owner, 10_000)
         breach(contract, scp, 1, 10)
         assert contract.registry[scp].credit == -3  # floor(10/3)
@@ -608,7 +627,7 @@ class TestThroughputBreach:
             ("b", make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2}, strike_limit=1)),
             ("c", make_terms(agreed_throughput={1: 1000}, price_per_kb={1: 2})),
         ):
-            contract.register_scp(owner, ledger.create_account(0, label), terms)
+            contract.register_scp(owner, ledger.create_account(0, label), to_json(terms))
         contract.deposit(owner, 100_000)
         assert contract.stream_order == [("a", 1), ("a", 5), ("b", 1), ("c", 1)]
         rebuilds = []
@@ -712,14 +731,14 @@ class TestWithdraw:
     def test_archived_credit_is_paid_and_nothing_is_stranded(self, world, events):
         ledger, contract, owner, scp = world
         other = ledger.create_account(0, "scp-2")
-        contract.register_scp(owner, other, make_terms(strike_limit=1))
+        contract.register_scp(owner, other, to_json(make_terms(strike_limit=1)))
         contract.record_traffic(owner, [0, 0, 1000, 0])  # scp-2 earns 2000
         contract.close_period(owner)
         breach(contract, other, 1, 1)  # debit 5, removed
         assert status(contract, other) == (False, 1995, 1)
         # back under another QCI set: the stream order and vector length follow
         contract.register_scp(
-            owner, other, make_terms(agreed_throughput={2: 10}, price_per_kb={2: 3})
+            owner, other, to_json(make_terms(agreed_throughput={2: 10}, price_per_kb={2: 3}))
         )
         assert contract.stream_order == [(scp, 1), (scp, 5), (other, 2)]
         contract.record_traffic(owner, [0, 0, 10])  # the fresh record earns 30
@@ -740,7 +759,7 @@ class TestWithdraw:
         for _ in range(3):  # credit -150, removed
             breach(contract, scp, 1, 10)
             contract.close_period(owner)
-        contract.register_scp(owner, scp, make_terms())
+        contract.register_scp(owner, scp, to_json(make_terms()))
         contract.record_traffic(owner, [100, 0])  # the fresh record earns 200
         contract.close_period(owner)
         assert contract.withdraw(scp) == 200  # not netted against the old debt
@@ -754,7 +773,7 @@ class TestWithdraw:
         owner = ledger.create_account(100_000, "mno")
         contract = SlaContract(ledger, owner)
         scp = ledger.create_account(0, "scp-1")
-        contract.register_scp(owner, scp, make_terms())
+        contract.register_scp(owner, scp, to_json(make_terms()))
         contract.deposit(owner, 100_000)
         contract.record_traffic(owner, [kb, 0])
         contract.close_period(owner)
@@ -782,7 +801,7 @@ class TestFailSafe:
         with pytest.raises(ContractDisabled):
             contract.close_period(owner)
         with pytest.raises(ContractDisabled):
-            contract.register_scp(owner, "new", make_terms())
+            contract.register_scp(owner, "new", to_json(make_terms()))
 
     def test_double_disable(self, world):
         _, contract, owner, _ = world
@@ -808,7 +827,7 @@ class TestFailSafe:
         owner = ledger.create_account(1000, "mno")
         contract = SlaContract(ledger, owner)
         scp = ledger.create_account(0, "scp-1")
-        contract.register_scp(owner, scp, make_terms(price_per_kb={1: 3, 5: 1}))
+        contract.register_scp(owner, scp, to_json(make_terms(price_per_kb={1: 3, 5: 1})))
         contract.deposit(owner, 1000)
         contract.record_traffic(owner, [100, 0])  # accrues 300
         contract.close_period(owner)
@@ -839,7 +858,7 @@ class TestEventReconstruction:
         contract = SlaContract(ledger, owner)
         scps = [ledger.create_account(0, f"scp-{i}") for i in range(3)]
         for scp in scps:
-            contract.register_scp(owner, scp, make_terms())
+            contract.register_scp(owner, scp, to_json(make_terms()))
         contract.deposit(owner, 500_000)
         for period in range(6):
             for i, scp in enumerate(scps):
@@ -864,7 +883,7 @@ class TestEventReconstruction:
             contract.close_period(owner)
         assert not contract.registry[scp].active
         assert registry_matches_events(contract, fold_of(events)) is None
-        contract.register_scp(owner, scp, make_terms())
+        contract.register_scp(owner, scp, to_json(make_terms()))
         breach(contract, scp, 5, 1)
         contract.close_period(owner)
         assert registry_matches_events(contract, fold_of(events)) is None
@@ -1002,7 +1021,7 @@ class TestSettlementReference:
         for address in SETTLEMENT_SCPS:
             ledger.create_account(0, address)
         for address, terms in zip(SETTLEMENT_SCPS[1:], SETTLEMENT_TERMS):
-            contract.register_scp(owner, address, terms)
+            contract.register_scp(owner, address, to_json(terms))
             reference.register(address, terms)
         contract.deposit(owner, 10**9)
         for op, *args in ops:
@@ -1024,9 +1043,9 @@ class TestSettlementReference:
                 record = contract.registry.get(address)
                 if record is not None and record.active:
                     with pytest.raises(AlreadyRegistered):
-                        contract.register_scp(owner, address, terms)
+                        contract.register_scp(owner, address, to_json(terms))
                 else:
-                    contract.register_scp(owner, address, terms)
+                    contract.register_scp(owner, address, to_json(terms))
                     reference.register(address, terms)
             else:
                 contract.close_period(owner)

@@ -3,7 +3,7 @@
 Hypothesis drives one ``SlaContract`` through random sequences of its
 operations (register and re-register, deposit, traffic, breach batches,
 close, withdraw, disable, recover) and of changes the caller makes to its own
-``SlaTerms`` after registering them.  After every step the machine checks
+terms object after registering them.  After every step the machine checks
 solvency (``escrow >= positive_credit_sum()``), fund conservation, that no
 balance is negative and that the log written so far replays to the live
 digest; after each close that goes through, that the registry matches the
@@ -24,19 +24,20 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import entries_of, make_flat_terms, make_terms
+from conftest import entries_of, make_flat_terms, make_terms, registry_matches_events
 from slasim import Ledger, SlaContract
+from slasim.config import to_json
 from slasim.errors import ContractError
 from slasim.replay import replay_entries
 from slasim.report import RowFold
-from slasim.verify import registry_matches_events
 
 # one per-traffic provider, one flat-rate, one that a single breach removes
+# (each a fresh JSON object, as register_scp takes them)
 TERMS = {
-    "scp-a": make_terms,
-    "scp-b": lambda: make_flat_terms(rate=120),
-    "scp-c": lambda: make_terms(
-        strike_limit=1, price_per_kb={1: 1, 5: 3}, penalty_rate=(1, 20)
+    "scp-a": lambda: to_json(make_terms()),
+    "scp-b": lambda: to_json(make_flat_terms(rate=120)),
+    "scp-c": lambda: to_json(
+        make_terms(strike_limit=1, price_per_kb={1: 1, 5: 3}, penalty_rate=(1, 20))
     ),
 }
 SCPS = sorted(TERMS)
@@ -44,10 +45,10 @@ MAX_STREAMS = 5  # two QCIs each for scp-a and scp-c, one for scp-b
 
 # changes a caller may make to its own terms object after registering it
 EDITS = {
-    "price": lambda terms: terms.price_per_kb.update({1: 50}),
-    "level": lambda terms: terms.agreed_throughput.update({1: 9_999}),
-    "flat rate": lambda terms: setattr(terms, "flat_rate_per_period", 7_777),
-    "strike limit": lambda terms: setattr(terms, "strike_limit", 99),
+    "price": lambda terms: terms["price_per_kb"].update({"1": 50}),
+    "level": lambda terms: terms["agreed_throughput"].update({"1": 9_999}),
+    "flat rate": lambda terms: terms.update(flat_rate_per_period=7_777),
+    "strike limit": lambda terms: terms.update(strike_limit=99),
 }
 
 

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from conftest import breach, entries_of, folded_run, make_flat_terms, make_terms
 from test_config import NON_CANONICAL_QCI_KEYS, NON_INTEGER_TERMS, valid_dict
 from test_ledger import documented_events_state
+import slasim.contract
 from slasim import Ledger, SlaContract, replay
 from slasim.cli import EXIT_ABORT, EXIT_OK, cmd_run
-from slasim.config import ScenarioConfig, read
+from slasim.config import ScenarioConfig, read, to_json
 from slasim.errors import DigestMismatch, MalformedLog
 from slasim.ledger import EventRecord
 from slasim.replay import load_txlog, replay_entries, replay_file
@@ -28,7 +29,7 @@ def busy_world():
     owner = ledger.create_account(100_000, "mno")
     contract = SlaContract(ledger, owner)
     scp = ledger.create_account(0, "scp-1")
-    contract.register_scp(owner, scp, make_terms())
+    contract.register_scp(owner, scp, to_json(make_terms()))
     contract.deposit(owner, 80_000)
     for period in range(4):
         contract.record_traffic(owner, [500 + period, 0])
@@ -107,8 +108,8 @@ def every_op_world(ledger=None):
     contract = SlaContract(ledger, owner)
     scp = ledger.create_account(0, "acct-0")
     other = ledger.create_account(0, "scp-2")
-    contract.register_scp(owner, scp, make_terms())
-    contract.register_scp(owner, other, make_flat_terms())
+    contract.register_scp(owner, scp, to_json(make_terms()))
+    contract.register_scp(owner, other, to_json(make_flat_terms()))
     contract.deposit(owner, 80_000)
     # streams: (scp, 1), (scp, 5), (other, 1); "acct-0" sorts before "scp-2"
     for _ in range(3):  # scp breaches three periods running and is removed
@@ -116,7 +117,8 @@ def every_op_world(ledger=None):
         contract.record_traffic(owner, [0, 200, 300])
         breach(contract, scp, 1, 40)
         contract.close_period(owner)
-    contract.register_scp(owner, scp, make_terms(strike_limit=2))  # archives the old record
+    # archives the old record
+    contract.register_scp(owner, scp, to_json(make_terms(strike_limit=2)))
     contract.record_traffic(owner, [100, 0, 0])
     contract.close_period(owner)
     contract.withdraw(other)
@@ -137,6 +139,34 @@ def test_every_logged_op_round_trips(tmp_path):
     ledger.export_txlog(path)
     _, entries = load_txlog(path)
     assert replay_entries(entries).canonical_state() == ledger.canonical_state()
+
+
+def test_replay_reads_and_echoes_each_registration_once(tmp_path, monkeypatch):
+    """Replay hands each logged ``terms`` to ``register_scp`` as it stands: the
+    contract reads it once and echoes it once, and a state digest echoes nothing."""
+    ledger = every_op_world()
+    registrations = sum(entry["op"] == "register_scp" for entry in entries_of(ledger))
+    assert registrations == 3  # two providers and one re-registration
+    path = tmp_path / "log.jsonl"
+    ledger.export_txlog(path)
+    calls = dict.fromkeys(("read", "to_json"), 0)
+
+    def counted(name):
+        real = getattr(slasim.contract, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(slasim.contract, name, counted(name))
+    header, entries = load_txlog(path)
+    replayed = replay_entries(entries)
+    assert calls == {"read": registrations, "to_json": registrations}
+    assert replayed.state_digest() == header["digest"]
+    assert calls == {"read": registrations, "to_json": registrations}
 
 
 def test_replay_keeps_no_log(tmp_path):
@@ -230,8 +260,8 @@ def test_every_line_is_the_compact_json_of_its_call(labels, contract_id, amounts
     contract = SlaContract(ledger, owner, contract_id=contract_id)
     scp = ledger.create_account(0, scp_label)
     other = ledger.create_account(0, other_label)
-    contract.register_scp(owner, scp, make_flat_terms(rate))
-    contract.register_scp(owner, other, make_flat_terms(rate))
+    contract.register_scp(owner, scp, to_json(make_flat_terms(rate)))
+    contract.register_scp(owner, other, to_json(make_flat_terms(rate)))
     contract.deposit(owner, deposit)
     contract.record_traffic(owner, [kb] * contract.num_streams)
     contract.close_period(owner)
@@ -297,9 +327,10 @@ def test_streamed_run_equals_in_memory_run(tmp_path):
     assert report.num_events > 1000
     in_memory = tmp_path / "in_memory"
     in_memory.mkdir()
+    report.digest = ledger.export_txlog(in_memory / "txlog.jsonl")
+    assert report.digest == ledger.state_digest()
     report.write_json(in_memory / "report.json")
     report.write_csv(in_memory / "report.csv")
-    assert ledger.export_txlog(in_memory / "txlog.jsonl") == report.digest
     for name in ("report.json", "report.csv", "txlog.jsonl"):
         assert (tmp_path / "streamed" / name).read_bytes() == (in_memory / name).read_bytes()
     # replay builds no EventRecord, since it passes no sink, and its running
@@ -362,7 +393,7 @@ def test_bad_batch_sample_rejected_on_replay(tmp_path, bad):
     owner = ledger.create_account(100_000, "mno")
     contract = SlaContract(ledger, owner)
     for label in ("scp-1", "scp-2"):
-        contract.register_scp(owner, ledger.create_account(0, label), make_terms())
+        contract.register_scp(owner, ledger.create_account(0, label), to_json(make_terms()))
     contract.deposit(owner, 80_000)
     for _ in range(3):  # scp-2 breaches three periods running and is removed
         contract.record_traffic(owner, [500, 0, 500, 0])
@@ -509,7 +540,7 @@ def test_unknown_term_rejected():
     terms["strike_limt"] = 1
     entry = {"op": "register_scp", "contract": "sla-0", "caller": "mno", "scp": "mno",
              "terms": terms}
-    with pytest.raises(MalformedLog, match=r"bad fields: strike_limt: unknown field"):
+    with pytest.raises(MalformedLog, match=r"bad fields: terms: strike_limt: unknown field"):
         replay_entries(decoded(WORLD + [entry]))
 
 
@@ -725,7 +756,8 @@ def test_bad_entry_line_gives_the_json_loads_message(tmp_path, edit, last):
         json.loads(lines[bad] + ("" if last else "\n"))
     with pytest.raises(MalformedLog) as excinfo:
         replay_file(path)
-    assert str(excinfo.value) == f"invalid JSON in transaction log: {loads_error.value}"
+    message = f"invalid JSON in transaction log: line {bad + 1}: {loads_error.value}"
+    assert str(excinfo.value) == message
 
 
 def test_invalid_json_on_last_line_is_reported_when_reached(tmp_path):

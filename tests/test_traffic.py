@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import entries_of, folded_run, make_terms
+from conftest import entries_of, folded_run, make_terms, registry_matches_events
 from slasim import (
     DegradationWindow,
     EventKind,
@@ -24,7 +24,6 @@ from slasim import (
 )
 from slasim.cli import setup_run
 from slasim.rng import splitmix64, stream_key
-from slasim.verify import registry_matches_events
 
 
 def scenario(num_periods=10, variability=(0, 1), degradations=(), nominal=1000,
@@ -435,5 +434,6 @@ class TestDrive:
         results = []
         for _ in range(2):
             ledger, contract, fold = folded_run(config)
-            results.append(drive(ledger, contract, config, fold).to_dict())
+            report = drive(ledger, contract, config, fold)
+            results.append((report.to_dict(), ledger.state_digest()))
         assert results[0] == results[1]
