@@ -151,6 +151,10 @@ def _one_of(*choices: str) -> Check:
 def _label(value, path):
     if type(value) is not str or not value:
         raise InvalidConfig(f"{path}: must be a non-empty string")
+    try:  # report.csv holds it as UTF-8, which has no lone surrogate
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidConfig(f"{path}: {value!r} is not Unicode text: {exc.reason}") from None
     return value
 
 
@@ -218,7 +222,7 @@ class DegradationWindow:
 
 @dataclass
 class TrafficModel:
-    # a sample, at most twice nominal_kb, is kept in a signed 64-bit slot
+    # below 2**62, so a sample, at most twice nominal_kb, is below 2**63
     nominal_kb: int = _checked(_uint(bits=62))
     variability: Rational = _checked(_ratio(at_most_one=True), default=(0, 1))
     degradations: List[DegradationWindow] = _checked(

@@ -51,11 +51,11 @@ def _read_log(path) -> Iterator[dict]:
     """
     number = 1  # of the line being decoded
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:  # each line is decoded alone, so a bad byte names it
             first = fh.readline()
             if not first:
                 raise MalformedLog("empty transaction log file")
-            header = json.loads(first, object_pairs_hook=unique_keys)
+            header = json.loads(first.decode("utf-8"), object_pairs_hook=unique_keys)
             if not isinstance(header, dict) or header.get("format") != TXLOG_FORMAT:
                 raise MalformedLog("missing or unrecognized transaction log header")
             for key in header:
@@ -74,6 +74,7 @@ def _read_log(path) -> Iterator[dict]:
                 raise MalformedLog(f"header entries {entries!r} is not a non-negative integer")
             yield header
             for number, line in enumerate(fh, 2):
+                line = line.decode("utf-8")
                 try:  # the C scanner alone, for a line that is one value and its newline
                     entry, end = _raw_decode(line)
                     whole = line[end:] in ("\n", "")
@@ -81,9 +82,7 @@ def _read_log(path) -> Iterator[dict]:
                     whole = False
                 if whole or line.strip():  # any other line takes json.loads's verdict
                     yield entry if whole else json.loads(line, object_pairs_hook=unique_keys)
-    except UnicodeDecodeError as exc:  # the file is decoded a block at a time, not by line
-        raise MalformedLog(f"invalid JSON in transaction log: {exc}") from exc
-    # bad syntax, a duplicate key, an integer over 4,300 digits, deep nesting
+    # bad syntax or UTF-8, a duplicate key, an integer over 4,300 digits, deep nesting
     except (ValueError, RecursionError) as exc:
         raise MalformedLog(f"invalid JSON in transaction log: line {number}: {exc}") from exc
     except OSError as exc:

@@ -120,11 +120,14 @@ class RowFold:
 
     def rows(self, num_periods: int) -> Dict[str, ScpRow]:
         """The rows so far.  A removed provider gets no more payouts, so its
-        timeline is padded to ``num_periods`` with its frozen count."""
+        timeline is padded to ``num_periods`` with its frozen count in a copy
+        of its row; every other row is the fold's own, which later events change."""
         rows = {}
         for scp, row in self._rows.items():
             padding = [self._strikes[scp]] * (num_periods - len(row.strikes_timeline))
-            rows[scp] = replace(row, strikes_timeline=row.strikes_timeline + padding)
+            if padding:
+                row = replace(row, strikes_timeline=row.strikes_timeline + padding)
+            rows[scp] = row
         return rows
 
 

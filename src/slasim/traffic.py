@@ -20,13 +20,12 @@ trace equals the one a per-sample loop builds.
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from operator import add, mod
-from typing import List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
-from .config import ScenarioConfig, to_json
+from .config import DegradationWindow, ScenarioConfig, to_json
 from .contract import SlaContract
 from .ledger import Ledger
 from .report import RowFold, RunReport
@@ -39,16 +38,45 @@ class TrafficTrace:
     """Deterministic per-period measurements, fixed by (config, seed).
 
     ``streams`` holds every stream's ``(label, qci)`` once, in (label, qci)
-    order.  ``periods[p]`` holds period ``p``'s measured kb, one value per
-    stream in that order, as an ``array('q')``: a trace of 450,000 samples is
-    about 4 MiB of values rather than 45 MiB of tuples.
+    order.  ``periods`` is re-iterable: each pass starts at period 0 and
+    yields one list per period, that period's measured kb with one value per
+    stream in that order.  ``generate_trace`` draws a period only when a pass
+    reaches it, as the MNO measures one accounting period at a time, so the
+    trace itself holds no period's values.
     """
 
-    streams: List[Tuple[str, int]] = field(default_factory=list)
-    periods: List[array] = field(default_factory=list)
+    streams: List[Tuple[str, int]]
+    periods: Iterable[List[int]]
+
+
+@dataclass(frozen=True)
+class _PeriodDraws:
+    """The kb lists of ``num_periods`` periods, drawn anew on each pass."""
+
+    num_periods: int
+    lows: Tuple[int, ...]
+    spans: Tuple[int, ...]
+    windows: Tuple[List[DegradationWindow], ...]
+    draws: Callable[[int], Tuple[int, ...]]
+
+    def __iter__(self) -> Iterator[List[int]]:
+        lows, spans, windows, draws = self.lows, self.spans, self.windows, self.draws
+        # the windows covering the period, in stream order and then list order,
+        # so one stream's multipliers compose as listed; rebuilt at window boundaries
+        boundaries = {p for listed in windows for w in listed for p in (w.start, w.end + 1)}
+        covering: List[Tuple[int, int, int]] = []
+        for period in range(self.num_periods):
+            if period in boundaries:
+                covering = [(i, *w.multiplier) for i, listed in enumerate(windows)
+                            for w in listed if w.start <= period <= w.end]
+            values = list(map(add, lows, map(mod, draws(period), spans)))
+            for i, mnum, mden in covering:
+                values[i] = values[i] * mnum // mden
+            yield values
 
 
 def generate_trace(config: ScenarioConfig) -> TrafficTrace:
+    """The scenario's trace; its periods are drawn as they are iterated."""
     streams = []
     for scp_index, scp in enumerate(config.scps):
         for qci in sorted(scp.traffic):
@@ -62,23 +90,8 @@ def generate_trace(config: ScenarioConfig) -> TrafficTrace:
     # every period's values, by (label, qci); a read config has at least one
     streams.sort()
     labels, qcis, keys, lows, spans, windows = zip(*streams)
-    trace = TrafficTrace(streams=list(zip(labels, qcis)))
-    draws = splitmix64_lanes(keys)
-    # the windows covering the period, in stream order and then list order, so
-    # one stream's multipliers compose as listed; rebuilt at window boundaries
-    boundaries = {p for listed in windows for w in listed for p in (w.start, w.end + 1)}
-    covering: List[Tuple[int, int, int]] = []
-    for period in range(config.num_periods):
-        if period in boundaries:
-            covering = [(i, *w.multiplier) for i, listed in enumerate(windows)
-                        for w in listed if w.start <= period <= w.end]
-        values = list(map(add, lows, map(mod, draws(period), spans)))
-        for i, mnum, mden in covering:
-            values[i] = values[i] * mnum // mden
-        # the reader keeps nominal_kb below 2**62, so a value (at most twice
-        # that) fits a signed 64-bit slot
-        trace.periods.append(array("q", values))
-    return trace
+    periods = _PeriodDraws(config.num_periods, lows, spans, windows, splitmix64_lanes(keys))
+    return TrafficTrace(streams=list(zip(labels, qcis)), periods=periods)
 
 
 def detect_breaches(kb: Sequence[int], agreed: Sequence[int]) -> List[Tuple[int, int]]:
@@ -123,12 +136,11 @@ def drive(
     columns: List[int] = []
     levels: List[int] = []
 
-    for period in range(config.num_periods):
+    for values in trace.periods:
         if contract.num_streams != len(columns):
             order = contract.stream_order
             columns = [column[stream] for stream in order]
             levels = [registry[scp].terms.agreed_throughput[qci] for scp, qci in order]
-        values = trace.periods[period]
         kb = [values[i] for i in columns]
         if kb:
             contract.record_traffic(owner, kb)

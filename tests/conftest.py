@@ -1,5 +1,7 @@
+import importlib.util
 import io
 import json
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -8,6 +10,17 @@ from slasim import FLAT_RATE, PER_TRAFFIC, Ledger, SlaContract, SlaTerms
 from slasim.cli import setup_run
 from slasim.config import to_json
 from slasim.report import RowFold
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def smoke_scenario(seed: int = 99) -> dict:
+    """The scenario JSON of the benchmark's smoke workload (``perfbench/workloads.py``):
+    2 SCPs x 9 QCIs x 20 periods, none of them breaching."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.smoke(seed)
 
 
 def make_terms(**overrides) -> SlaTerms:

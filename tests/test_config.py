@@ -199,6 +199,17 @@ def test_duplicate_labels_rejected():
         read(ScenarioConfig, data)
 
 
+@pytest.mark.parametrize("label", ["\ud800", "scp-\udfff-1"], ids=["lone", "inside"])
+def test_label_with_a_lone_surrogate_rejected(label):
+    """``json`` reads ``"\\ud800"`` as a str that UTF-8, and so report.csv, cannot hold."""
+    data = valid_dict()
+    data["scps"][0]["label"] = label
+    with pytest.raises(InvalidConfig, match=r"^scps\[0\]\.label: .* is not Unicode text"):
+        read(ScenarioConfig, data)
+    data["scps"][0]["label"] = "scp-\u00e9"  # any other text is a label
+    assert read(ScenarioConfig, data).scps[0].label == "scp-\u00e9"
+
+
 def test_traffic_qci_must_be_declared_in_terms():
     data = valid_dict()
     data["scps"][0]["traffic"]["9"] = {"nominal_kb": 100}

@@ -625,7 +625,9 @@ def test_non_utf8_log_rejected(tmp_path, line):
     lines = path.read_bytes().splitlines()
     lines[line] = b"\xff\xfe"
     path.write_bytes(b"\n".join(lines) + b"\n")
-    with pytest.raises(MalformedLog, match="invalid JSON"):
+    # each line is decoded alone, so the message names it, as for any other bad line
+    with pytest.raises(MalformedLog, match=rf"^invalid JSON in transaction log: line {line + 1}: "
+                                           r"'utf-8' codec can't decode byte 0xff"):
         replay_file(path)
 
 

@@ -1,19 +1,25 @@
-"""Every name the benchmark's tracer wraps still exists in slasim.
+"""Every name the benchmark's tracer wraps still exists in slasim, and a traced run is a run.
 
 ``perfbench/tracer.py`` wraps functions by name with ``patch(owner, "attr",
 ...)``.  A refactor that renames or drops one of them breaks ``--trace 1``
 runs, so this reads the tracer's source (without importing it) and looks
-every target up on the slasim object it names.
+every target up on the slasim object it names.  A refactor that changes what
+a wrapped call returns can break them too, so one smoke run goes through
+``perfbench/shim.py`` with the tracer and without it.
 """
 
 import ast
 import importlib
-from pathlib import Path
+import json
+import os
+import subprocess
+import sys
 
-from conftest import folded_run, make_terms
+from conftest import PERFBENCH, folded_run, make_terms, smoke_scenario
 from slasim import ScenarioConfig, ScpScenario, TrafficModel, replay, rng, traffic
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+TRACER = PERFBENCH / "tracer.py"
+SHIM = PERFBENCH / "shim.py"
 
 
 def string_tuples(tree):
@@ -108,3 +114,33 @@ def test_drive_reaches_the_patched_names(monkeypatch):
     traffic.drive(ledger, contract, config, fold)
     # stream_key makes three scalar draws per stream; the trace makes none
     assert calls == {"generate_trace": 1, "detect_breaches": 7, "splitmix64": 6}
+
+
+def test_traced_run_settles_every_period(tmp_path):
+    """A ``--trace 1`` run, under the shim and the tracer, is the untraced run.
+
+    The tracer counts the trace's samples by iterating ``trace.periods``
+    before ``drive`` does, so a trace that one pass used up would leave the
+    traced run no period to settle, and a different digest.
+    """
+    scenario = smoke_scenario()
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenario))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PERFBENCH.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def run(name, *tracing):
+        stats = tmp_path / f"{name}.json"
+        out = tmp_path / name
+        subprocess.run([sys.executable, str(SHIM), "--stats", str(stats), *tracing, "--",
+                        "run", "--config", str(config), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        digest = json.loads((out / "report.json").read_text())["digest"]
+        return digest, json.loads(stats.read_text())
+
+    untraced, _ = run("untraced")
+    traced, stats = run("traced", "--spans", str(tmp_path / "spans.jsonl"))
+    assert traced == untraced
+    streams = sum(len(scp["traffic"]) for scp in scenario["scps"])
+    assert stats["items"]["traffic.generate_trace"] == streams * scenario["num_periods"] == 360
+    assert stats["calls"]["contract.close_period"] == scenario["num_periods"]

@@ -2,7 +2,7 @@
 
 import io
 import random
-from array import array
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,7 @@ from slasim import (
     traffic,
 )
 from slasim.cli import setup_run
+from slasim.report import RowFold
 from slasim.rng import splitmix64, stream_key
 
 
@@ -44,7 +45,7 @@ def scenario(num_periods=10, variability=(0, 1), degradations=(), nominal=1000,
 def only_kb(trace, period):
     """The kb of a one-stream trace's only stream in ``period``."""
     assert trace.streams == [("scp-1", 1)]
-    [kb] = trace.periods[period]
+    [kb] = list(trace.periods)[period]
     return kb
 
 
@@ -72,12 +73,12 @@ class TestGenerateTrace:
     def test_same_seed_identical(self):
         a = generate_trace(scenario(variability=(1, 4)))
         b = generate_trace(scenario(variability=(1, 4)))
-        assert a.periods == b.periods
+        assert list(a.periods) == list(b.periods)
 
     def test_different_seed_differs(self):
         a = generate_trace(scenario(variability=(1, 4), seed=1, num_periods=50))
         b = generate_trace(scenario(variability=(1, 4), seed=2, num_periods=50))
-        assert a.periods != b.periods
+        assert list(a.periods) != list(b.periods)
 
     def test_draws_stay_in_bounds(self):
         trace = generate_trace(scenario(variability=(1, 4), num_periods=200))
@@ -88,7 +89,7 @@ class TestGenerateTrace:
 
     def test_largest_nominal_still_runs(self):
         # the reader admits nominal_kb up to 2**62 - 1; with full variability a
-        # sample reaches twice that, which still fits the trace's 64-bit values
+        # sample reaches twice that, and settles exactly as a Python int
         nominal = 2**62 - 1
         config = scenario(nominal=nominal, variability=(1, 1), agreed=0, num_periods=20,
                           escrow=2**70)
@@ -237,6 +238,47 @@ class TestTraceOracle:
         assert_matches_reference(config)
 
 
+class TestStreamedTrace:
+    def test_every_pass_draws_the_same_periods(self):
+        """Each pass over ``periods`` starts at period 0 and yields one kb list per period."""
+        config = multi_stream_scenario()
+        trace = generate_trace(config)
+        first = list(trace.periods)
+        assert next(iter(trace.periods)) == first[0]  # a pass left partway ends nothing
+        assert list(trace.periods) == first == reference_trace(config)[1]
+
+    def test_run_memory_does_not_grow_with_the_trace(self):
+        """``drive``'s peak grows with the rows it folds, not with streams x periods.
+
+        A held trace of 90 streams takes at least 8 bytes a value, so 1,500
+        more periods would add over 1 MB; the bound is half that.  The rows'
+        strike timelines add 10 x 1,500 list slots.
+        """
+        def peak(num_periods):
+            qcis = range(1, 10)
+            terms = make_terms(agreed_throughput=dict.fromkeys(qcis, 0),
+                               price_per_kb=dict.fromkeys(qcis, 1))
+            config = ScenarioConfig(
+                seed=11, num_periods=num_periods, escrow_deposit=10**12,
+                scps=[ScpScenario(label=f"scp-{i}", terms=terms,
+                                  traffic={q: TrafficModel(nominal_kb=1000, variability=(1, 20))
+                                           for q in qcis})
+                      for i in range(10)],
+            )
+            fold = RowFold()  # keeps no events, unlike folded_run's
+            ledger, contract = setup_run(config, None, fold.add)
+            tracemalloc.start()
+            try:
+                report = drive(ledger, contract, config, fold)
+                held = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.rows["scp-0"].withdrawn > 0
+            return held
+
+        assert peak(2_000) - peak(500) < 1_500 * 90 * 4
+
+
 class TestDetectBreaches:
     def test_exact_measure_is_not_a_breach(self):
         assert detect_breaches([1000], [1000]) == []
@@ -308,8 +350,8 @@ class TestDrive:
         expected = 0
         removed_at = None
         strikes = 0
-        for period in range(20):
-            breaches = detect_breaches(trace.periods[period], agreed)
+        for period, kb in enumerate(trace.periods):
+            breaches = detect_breaches(kb, agreed)
             if removed_at is None:
                 expected += len(breaches)
                 if breaches:
@@ -336,6 +378,7 @@ class TestDrive:
                 )
             )
         trace = generate_trace(config)
+        periods = list(trace.periods)
         ledger, contract, fold = folded_run(config, io.StringIO())
         report = drive(ledger, contract, config, fold)
         removed = report.rows["scp-1"].removal_period
@@ -345,7 +388,7 @@ class TestDrive:
         for period, kb in enumerate(vectors):
             expected = [
                 value
-                for (label, _), value in zip(trace.streams, trace.periods[period])
+                for (label, _), value in zip(trace.streams, periods[period])
                 if label != "scp-1" or period <= removed
             ]
             assert kb == expected
@@ -380,12 +423,12 @@ class TestDrive:
             elif entry["op"] == "throughput_breach":
                 batches[period] = entry["breaches"]
         expected = {}
-        for period in range(30):
+        for period, kb in enumerate(trace.periods):
             # the trace index of each stream active when the period's batch is sent
             active = [i for i, (label, _) in enumerate(trace.streams)
                       if label != "scp-1" or period <= removed]
             pairs = [[active.index(i), deficit]
-                     for i, deficit in detect_breaches(trace.periods[period], agreed)
+                     for i, deficit in detect_breaches(kb, agreed)
                      if i in active]
             if pairs:
                 expected[period] = pairs
@@ -421,7 +464,7 @@ class TestDrive:
             trace = original(config)
             return TrafficTrace(
                 streams=[trace.streams[i] for i in order],
-                periods=[array("q", [kb[i] for i in order]) for kb in trace.periods],
+                periods=[[kb[i] for i in order] for kb in trace.periods],
             )
 
         monkeypatch.setattr(traffic, "generate_trace", permuted)
